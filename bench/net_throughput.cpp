@@ -13,6 +13,17 @@
 //                            (the structural engine doing the same probes
 //                            without messages); machine-independent, so
 //                            it is the metric bench/baseline.json floors.
+//   * make_ring_ns_per_node_2p14 / _2p20
+//                          — NetSimulator::make_ring (draw ids, build the
+//                            ring, fingers and hop rows) per node: the
+//                            set-up every wire and cluster run pays
+//                            (2^20 is skipped under --quick: null),
+//   * ring_build_speedup   — the reference build (std::sort, a binary
+//                            search per finger, a sorted hop row per node;
+//                            tests/support/chord_reference.hpp) over
+//                            ChordRing's, same ids, at 2^14: the median of
+//                            interleaved pairs, so machine-independent and
+//                            floored too.
 //
 // The JSON records hw_threads (like sharded_throughput) so perf-gate skips
 // and cross-runner comparisons stay auditable.
@@ -36,12 +47,72 @@
 #include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "sim/cli.hpp"
+#include "support/chord_reference.hpp"
 
 namespace gb = geochoice::bench;
 namespace gd = geochoice::dht;
 namespace gn = geochoice::net;
 namespace go = geochoice::obs;
 namespace gr = geochoice::rng;
+namespace gt = geochoice::testing;
+
+namespace {
+
+/// Wall seconds of one run of fn.
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const auto t0 = gb::Clock::now();
+  fn();
+  return std::chrono::duration<double>(gb::Clock::now() - t0).count();
+}
+
+/// Median wall seconds of `reps` runs of fn.
+template <typename Fn>
+double median_seconds(int reps, Fn&& fn) {
+  std::vector<double> secs;
+  for (int r = 0; r < reps; ++r) secs.push_back(seconds_of(fn));
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
+}
+
+/// NetSimulator::make_ring at n nodes, ns per node.
+double make_ring_ns_per_node(std::size_t n, int reps) {
+  gn::NetConfig cfg;
+  cfg.nodes = n;
+  const double s = median_seconds(reps, [&] {
+    if (gn::NetSimulator::make_ring(cfg).node_count() != n) std::abort();
+  });
+  return s * 1e9 / static_cast<double>(n);
+}
+
+/// Reference ring build time over ChordRing's on the same ids: the median
+/// of `pairs` interleaved (reference, ChordRing) pairs, so drift between
+/// the two timings cancels.
+double ring_build_speedup(std::size_t n, int pairs) {
+  gr::DefaultEngine gen(7);
+  std::vector<double> ids(n);
+  for (double& id : ids) id = gr::uniform01(gen);
+  int fingers = 0;
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    const double fast = seconds_of([&] {
+      gd::ChordRing ring(ids);
+      ring.build_fingers();
+      fingers = ring.fingers_per_node();
+    });
+    const double ref = seconds_of([&] {
+      std::vector<double> copy = ids;
+      if (gt::reference_chord_build(copy, fingers).fingers.empty()) {
+        std::abort();
+      }
+    });
+    ratios.push_back(ref / fast);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const geochoice::sim::ArgParser args(argc, argv);
@@ -193,6 +264,17 @@ int main(int argc, char** argv) {
   const double structural_per_sec = ms.back().items_per_sec;
   const double net_vs_structural = inserts_per_sec / structural_per_sec;
 
+  // --- ring construction.
+  const double ring_ns_2p14 = make_ring_ns_per_node(1u << 14, reps);
+  // The 2^20 ring (~350 MB of tables) is a record, not a gate: full runs
+  // only, --quick writes null.
+  char ring_2p20[32] = "null";
+  if (!quick) {
+    std::snprintf(ring_2p20, sizeof(ring_2p20), "%.1f",
+                  make_ring_ns_per_node(1u << 20, 3));
+  }
+  const double ring_speedup = ring_build_speedup(1u << 14, reps);
+
   std::printf("%-28s %15s %12s\n", "benchmark", "items/sec", "ns/item");
   for (const auto& r : ms) {
     std::printf("%-28s %15.0f %12.2f\n", r.name.c_str(), r.items_per_sec,
@@ -208,6 +290,9 @@ int main(int argc, char** argv) {
   std::printf("parallel best / t1 scaling : %.3fx\n", parallel_scaling_best);
   std::printf("windows/sec at t1          : %.0f\n", parallel_windows_per_sec);
   std::printf("crew tasks per event       : %.3f\n", parallel_batch_fill_ratio);
+  std::printf("make_ring ns/node, 2^14    : %.1f\n", ring_ns_2p14);
+  std::printf("make_ring ns/node, 2^20    : %s\n", ring_2p20);
+  std::printf("ring build reference / new : %.3fx\n", ring_speedup);
 
   std::string json;
   json += "{\n";
@@ -232,7 +317,7 @@ int main(int argc, char** argv) {
                     /*with_threads=*/ms[i].threads != 0, i + 1 == ms.size());
   }
   json += "  ],\n";
-  char tail[512];
+  char tail[768];
   std::snprintf(tail, sizeof(tail),
                 "  \"events_per_sec\": %.1f,\n"
                 "  \"inserts_per_sec\": %.1f,\n"
@@ -242,11 +327,15 @@ int main(int argc, char** argv) {
                 "  \"parallel_t2_vs_t1\": %.4f,\n"
                 "  \"parallel_scaling_best\": %.4f,\n"
                 "  \"parallel_windows_per_sec\": %.1f,\n"
-                "  \"parallel_batch_fill_ratio\": %.4f\n}\n",
+                "  \"parallel_batch_fill_ratio\": %.4f,\n"
+                "  \"make_ring_ns_per_node_2p14\": %.1f,\n"
+                "  \"make_ring_ns_per_node_2p20\": %s,\n"
+                "  \"ring_build_speedup\": %.4f\n}\n",
                 events_per_sec, inserts_per_sec, net_vs_structural,
                 obs_overhead, parallel_t1_vs_sequential, parallel_t2_vs_t1,
                 parallel_scaling_best, parallel_windows_per_sec,
-                parallel_batch_fill_ratio);
+                parallel_batch_fill_ratio, ring_ns_2p14, ring_2p20,
+                ring_speedup);
   json += tail;
 
   return gb::write_json_or_fail(out_path, json);

@@ -17,7 +17,9 @@ Usage:
   check_perf.py --self-test BASELINE_JSON    # prove the gate can fail: for
         every gated file, synthesize results regressed below the floors and
         assert both the rejection and the failure-message format (value,
-        floor, and an exact -50.0% margin for the injected halving)
+        floor, and an exact -50.0% margin for the injected halving); a
+        metric that records its "parent" value (what the algorithm it
+        replaced measured) is also fed that value, which must trip too
 
 baseline.json schema:
   {"files": {"<results filename>": {"<metric>": {
@@ -27,7 +29,9 @@ baseline.json schema:
                          meaningless on starved runners>,
       "skip_on_quick": <optional: skip metric when the results'
                         config.quick flag is true — scaling floors need
-                        full-size problems; the CI smoke runs --quick>}}}}
+                        full-size problems; the CI smoke runs --quick>,
+      "parent": <optional: the value the replaced algorithm measured;
+                 --self-test asserts the floor rejects it>}}}}
 """
 import json
 import os
@@ -114,6 +118,17 @@ def self_test(baseline):
                       f"{line!r}")
                 return 1
         total += expected
+        # A floor meant to lock in a rewrite must reject what the old
+        # algorithm measured.
+        for metric, gate in gates.items():
+            if "parent" not in gate:
+                continue
+            old = {metric: gate["parent"], "hw_threads": 10**6}
+            if not check(old, {metric: gate}, fname):
+                print(f"self-test FAILED: {fname}:{metric} passes at the "
+                      f"parent's {gate['parent']}")
+                return 1
+            total += 1
     print(f"self-test passed: all {total} injected regressions were caught "
           "and correctly formatted")
     return 0

@@ -19,7 +19,7 @@ ChordRing::ChordRing(std::vector<double> node_ids)
       throw std::invalid_argument("ChordRing: ids must lie in [0, 1)");
     }
   }
-  std::sort(ids_.begin(), ids_.end());
+  geometry::sort_unit_interval(ids_);
 }
 
 ChordRing ChordRing::random(std::size_t n, rng::DefaultEngine& gen) {
@@ -49,48 +49,88 @@ void ChordRing::build_fingers(int fingers) {
               1;
   }
   fingers_per_node_ = fingers;
-  fingers_.assign(n * static_cast<std::size_t>(fingers), 0);
+  const auto f = static_cast<std::size_t>(fingers);
+  fingers_.assign(n * f, 0);
+  // Finger k of node i is successor(wrap01(id_i + 2^{-(k+1)})): k = 0 is
+  // the halfway finger, larger k are progressively closer (Chord's table,
+  // normalized). For a fixed k the targets rise with i until they pass
+  // 1.0, wrap once, and rise again (rounding is monotone), so one cursor
+  // per level walks the ids forward, restarting at the wrap, in place of
+  // n binary searches. A cursor moves about once per node, so two
+  // branchless steps cover most moves before the loop takes the rest.
+  struct Level {
+    double span;
+    std::size_t cursor;
+    bool wrapped;
+  };
+  std::vector<Level> levels(f);
+  for (std::size_t k = 0; k < f; ++k) {
+    levels[k] = {std::ldexp(1.0, -static_cast<int>(k + 1)), 0, false};
+  }
+  // The ids plus a sentinel above every target: cursors stop at n unchecked.
+  std::vector<double> keys(n + 1, 2.0);
+  std::copy(ids_.begin(), ids_.end(), keys.begin());
+  const double* const key = keys.data();
+  std::uint32_t* out = fingers_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    for (int k = 0; k < fingers; ++k) {
-      // Finger k spans 2^{-(k+1)} of the ring: k = 0 is the halfway finger,
-      // larger k are progressively closer (Chord's table, normalized).
-      const double target =
-          geometry::wrap01(ids_[i] + std::ldexp(1.0, -(k + 1)));
-      fingers_[i * static_cast<std::size_t>(fingers) +
-               static_cast<std::size_t>(k)] = successor(target);
+    const double id = key[i];
+    for (Level& level : levels) {
+      double target = id + level.span;
+      if (target >= 1.0) {  // wrap01 on [0, 2): exact, no floor needed
+        target -= 1.0;
+        if (!level.wrapped) {
+          level.wrapped = true;
+          level.cursor = 0;
+        }
+      }
+      std::size_t j = level.cursor;
+      j += static_cast<std::size_t>(key[j] < target);
+      j += static_cast<std::size_t>(key[j] < target);
+      while (key[j] < target) ++j;
+      level.cursor = j;
+      *out++ = static_cast<std::uint32_t>(j == n ? 0 : j);
     }
   }
 
-  // Precompute each node's next-hop candidates (successor link + fingers)
-  // sorted by descending progress, so next_hop() is a first-hit scan
-  // instead of a full ring_gap pass per forwarded message. Two distinct
-  // candidates can never make equal progress from the same node (ids are
-  // distinct), so the sort order fixes the same argmax the scan took.
+  // Each node's next-hop candidates (successor link + fingers) by
+  // descending progress, so next_hop() is a first-hit scan instead of a
+  // full ring_gap pass per forwarded message. Two distinct candidates can
+  // never make equal progress from the same node (ids are distinct), so
+  // the order fixes the same argmax the scan took. Finger progress already
+  // falls as k grows, so a stable insertion in link-then-finger order
+  // places each candidate in O(1) shifts; repeats of the node just placed
+  // are dropped.
   hop_stride_ = fingers + 1;
   const std::size_t stride = static_cast<std::size_t>(hop_stride_);
   hop_progress_.assign(n * stride, 2.0);  // 2.0: sentinel no ring_gap hits
   hop_node_.assign(n * stride, 0);
-  std::vector<std::pair<double, std::uint32_t>> cands;
   for (std::size_t i = 0; i < n; ++i) {
-    cands.clear();
-    const auto succ_link =
-        static_cast<std::uint32_t>((i + 1) % n);
-    auto consider = [&](std::uint32_t cand) {
-      if (cand == static_cast<std::uint32_t>(i)) return;
-      cands.emplace_back(geometry::ring_gap(ids_[i], ids_[cand]), cand);
+    double* const prog = hop_progress_.data() + i * stride;
+    std::uint32_t* const node = hop_node_.data() + i * stride;
+    std::size_t len = 0;
+    const auto place = [&](std::uint32_t cand) {
+      if (cand == i) return;
+      // ring_gap(ids_[i], ids_[cand]) without libm floor: the difference
+      // lies in (-1, 1), so one compare wraps it; + 0.0 maps -0.0 to +0.0
+      // and the guard maps a rounded 1.0 to 0.0, both as wrap01 does.
+      double p = ids_[cand] - ids_[i] + 0.0;
+      if (p < 0.0) {
+        p += 1.0;
+        if (p >= 1.0) p = 0.0;
+      }
+      std::size_t j = len;
+      while (j > 0 && prog[j - 1] < p) --j;
+      if (j > 0 && prog[j - 1] == p && node[j - 1] == cand) return;
+      for (std::size_t t = len; t > j; --t) {
+        prog[t] = prog[t - 1];
+        node[t] = node[t - 1];
+      }
+      prog[j] = p;
+      node[j] = cand;
+      ++len;
     };
-    consider(succ_link);
-    for (int k = 0; k < fingers; ++k) {
-      consider(fingers_[i * static_cast<std::size_t>(fingers) +
-                        static_cast<std::size_t>(k)]);
-    }
-    std::sort(cands.begin(), cands.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    for (std::size_t j = 0; j < cands.size(); ++j) {
-      hop_progress_[i * stride + j] = cands[j].first;
-      hop_node_[i * stride + j] = cands[j].second;
-    }
+    place(static_cast<std::uint32_t>((i + 1) % n));
+    for (std::size_t k = 0; k < f; ++k) place(fingers_[i * f + k]);
   }
 }
 

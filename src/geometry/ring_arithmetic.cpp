@@ -1,8 +1,11 @@
 #include "geometry/ring_arithmetic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <functional>
+#include <numeric>
+#include <stdexcept>
 
 namespace geochoice::geometry {
 
@@ -74,6 +77,48 @@ void ring_owner_batch(std::span<const double> sorted_positions,
     }
     q += g;
   }
+}
+
+void sort_unit_interval(std::vector<double>& values) {
+  // Uniform input puts ~1 value in a bucket and O(log n / log log n) in
+  // the fullest; past this size insertion sort's quadratic cost would show.
+  constexpr std::size_t kInsertionSortMax = 32;
+  const std::size_t n = values.size();
+  if (n >= (std::size_t{1} << 32)) {
+    throw std::length_error("sort_unit_interval: more than 2^32 - 1 values");
+  }
+  const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(n, 1));
+  const double scale = static_cast<double>(buckets);
+  const auto bucket_of = [scale](double v) {
+    assert(v >= 0.0 && v < 1.0);
+    return static_cast<std::size_t>(v * scale);
+  };
+
+  // first[b + 1] counts bucket b; the prefix sum turns first[b] into the
+  // start of bucket b.
+  std::vector<std::uint32_t> first(buckets + 1, 0);
+  for (const double v : values) ++first[bucket_of(v) + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+
+  std::vector<double> sorted(n);
+  std::vector<std::uint32_t> cursor(first.begin(), first.end() - 1);
+  for (const double v : values) sorted[cursor[bucket_of(v)]++] = v;
+
+  for (std::size_t b = 0; b < buckets; ++b) {
+    double* const lo = sorted.data() + first[b];
+    double* const hi = sorted.data() + first[b + 1];
+    if (static_cast<std::size_t>(hi - lo) > kInsertionSortMax) {
+      std::sort(lo, hi);
+      continue;
+    }
+    for (double* it = lo + 1; it < hi; ++it) {
+      const double v = *it;
+      double* j = it;
+      for (; j > lo && v < j[-1]; --j) *j = j[-1];
+      *j = v;
+    }
+  }
+  values.swap(sorted);
 }
 
 std::vector<double> arc_lengths(std::span<const double> sorted_positions) {

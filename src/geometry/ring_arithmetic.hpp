@@ -43,6 +43,16 @@ void ring_owner_batch(std::span<const double> sorted_positions,
                       std::span<const double> xs,
                       std::span<std::uint32_t> out) noexcept;
 
+/// Sort values in [0, 1) ascending in expected O(n) for spread-out input.
+/// Values are bucketed by their leading bits into B = bit_ceil(n) buckets
+/// (bucket of v: floor(v * B), exact since B is a power of two), scattered
+/// in bucket order, and each bucket is insertion-sorted; a bucket holding
+/// more than a few dozen values is std::sort-ed instead, so clustered
+/// input costs O(n log n) and never goes quadratic. The result equals
+/// std::sort's. Requires every value in [0, 1); throws std::length_error
+/// for n >= 2^32.
+void sort_unit_interval(std::vector<double>& values);
+
 /// Arc lengths induced by *sorted* positions: `result[i]` is the length of
 /// [pos_i, pos_{i+1}) with wraparound. Lengths sum to exactly ~1.
 [[nodiscard]] std::vector<double> arc_lengths(

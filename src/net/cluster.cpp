@@ -80,6 +80,7 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
   for (const auto& t : transports) {
     result.datagrams += t->links().total;
     result.malformed += t->malformed();
+    result.send_errors += t->send_errors();
   }
   for (const auto& n : nodes) {
     result.stale_reads += n.stale_reads();

@@ -36,6 +36,9 @@ struct ClusterResult {
   std::uint64_t datagrams = 0;
   /// Received frames that failed wire::decode (should be zero).
   std::uint64_t malformed = 0;
+  /// Datagrams the kernel refused to send, summed over every transport
+  /// (should be zero).
+  std::uint64_t send_errors = 0;
   /// Placements the owners observed landing on stale load information.
   std::uint64_t stale_reads = 0;
   /// Distinct keys holding a value across all node stores after the run

@@ -96,9 +96,11 @@ void UdpTransport::send(const Message& m) {
   const sockaddr_in addr = to_sockaddr(peers_[m.at]);
   // A full socket buffer or transient kernel refusal drops the datagram —
   // exactly what a real network would do; the protocol's retransmit
-  // timers own recovery.
-  (void)sendto(fd_, f.data(), f.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  // timers own recovery. The drop is counted so it never goes unseen.
+  if (sendto(fd_, f.data(), f.size(), 0,
+             reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ++send_errors_;
+  }
 }
 
 std::uint64_t UdpTransport::now_ms() const {

@@ -61,7 +61,9 @@ class UdpTransport {
 
   /// Encode and transmit one datagram to m.at. Dropped datagrams are the
   /// network's business — reliability is the protocol's retransmit
-  /// timers, not the transport's.
+  /// timers, not the transport's. A datagram the kernel refuses (full
+  /// socket buffer, unreachable or forbidden address) is counted in
+  /// send_errors(), not thrown.
   void send(const Message& m);
 
   /// Local delivery without touching the wire: queued and handed to the
@@ -103,6 +105,11 @@ class UdpTransport {
   /// Datagrams received that failed wire::decode (noise, truncation,
   /// version skew). A healthy loopback cluster keeps this at zero.
   [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_; }
+  /// Datagrams sendto() refused; each is also in links(). A healthy
+  /// loopback cluster keeps this at zero.
+  [[nodiscard]] std::uint64_t send_errors() const noexcept {
+    return send_errors_;
+  }
 
   /// Milliseconds of CLOCK_MONOTONIC since construction — the timer
   /// wheel's timebase, exposed for latency measurement.
@@ -127,6 +134,7 @@ class UdpTransport {
   TimerWheel<Message> wheel_;
   LinkCounters links_;
   std::uint64_t malformed_ = 0;
+  std::uint64_t send_errors_ = 0;
 };
 
 }  // namespace geochoice::net

@@ -530,7 +530,20 @@ void write_trace_file(const obs::TraceRecorder& rec, const std::string& path) {
   }
 }
 
+/// Wall time since `start`, and the throughput it gives.
+void set_throughput(RunReport& report, const Scenario& sc,
+                    Clock::time_point start) {
+  report.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  if (report.wall_seconds > 0.0) {
+    report.balls_per_sec = static_cast<double>(sc.balls()) *
+                           static_cast<double>(sc.trials) /
+                           report.wall_seconds;
+  }
+}
+
 RunReport run_wire(const Scenario& sc_in) {
+  const auto start = Clock::now();
   // Resolve the kAuto worker rule first so validation, execution and the
   // echoed spec all see the same concrete count.
   Scenario sc = sc_in;
@@ -586,12 +599,8 @@ RunReport run_wire(const Scenario& sc_in) {
   } else {
     run_udp_trials(sc, report, recorder.get());
   }
+  set_throughput(report, sc, start);  // before the trace write: run time only
   if (recorder) write_trace_file(*recorder, sc.trace_out);
-  if (report.total_seconds > 0.0) {
-    report.balls_per_sec = static_cast<double>(sc.balls()) *
-                           static_cast<double>(sc.trials) /
-                           report.total_seconds;
-  }
   report.quantile_values.reserve(sc.quantiles.size());
   for (const double q : sc.quantiles) {
     report.quantile_values.push_back(
@@ -601,6 +610,7 @@ RunReport run_wire(const Scenario& sc_in) {
 }
 
 RunReport run_structural(const Scenario& sc) {
+  const auto start = Clock::now();
   const Engine engine = resolve_engine(sc);
   validate(sc, engine);
   const std::uint64_t measure_samples =
@@ -640,10 +650,7 @@ RunReport run_structural(const Scenario& sc) {
   report.trial_seconds_max = max_s;
   report.trial_seconds_mean =
       sum_s / static_cast<double>(outcomes.size());
-  if (sum_s > 0.0) {
-    report.balls_per_sec = static_cast<double>(sc.balls()) *
-                           static_cast<double>(sc.trials) / sum_s;
-  }
+  set_throughput(report, sc, start);
   return report;
 }
 
@@ -847,9 +854,10 @@ std::string render_run_summary(const RunReport& report) {
     }
   }
   std::snprintf(buf, sizeof(buf),
-                "timing:   total %.3fs, per trial %.2g/%.2g/%.2g s "
-                "(min/mean/max), %.3g balls/sec\n",
-                report.total_seconds, report.trial_seconds_min,
+                "timing:   wall %.3fs, trials total %.3fs, per trial "
+                "%.2g/%.2g/%.2g s (min/mean/max), %.3g balls/sec\n",
+                report.wall_seconds, report.total_seconds,
+                report.trial_seconds_min,
                 report.trial_seconds_mean, report.trial_seconds_max,
                 report.balls_per_sec);
   out += buf;
@@ -872,8 +880,8 @@ std::vector<std::string> scenario_csv_header(const Scenario& spec) {
       "dims",  "alpha",  "measure_samples",     "mean_max_load",
   };
   for (const double q : spec.quantiles) h.push_back(quantile_label(q));
-  h.insert(h.end(), {"max_load_min", "max_load_max", "total_seconds",
-                     "balls_per_sec"});
+  h.insert(h.end(), {"max_load_min", "max_load_max", "wall_seconds",
+                     "total_seconds", "balls_per_sec"});
   return h;
 }
 
@@ -898,6 +906,7 @@ std::vector<std::string> scenario_csv_row(const RunReport& report) {
   for (const double v : report.quantile_values) row.push_back(format_double(v));
   row.push_back(std::to_string(report.max_load.min_value()));
   row.push_back(std::to_string(report.max_load.max_value()));
+  row.push_back(format_double(report.wall_seconds));
   row.push_back(format_double(report.total_seconds));
   row.push_back(format_double(report.balls_per_sec));
   return row;
@@ -990,8 +999,10 @@ std::string scenario_json(const RunReport& report) {
   }
   json += "},\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"total_seconds\": %s,\n  \"trial_seconds_mean\": %s,\n"
+                "  \"wall_seconds\": %s,\n  \"total_seconds\": %s,\n"
+                "  \"trial_seconds_mean\": %s,\n"
                 "  \"balls_per_sec\": %s\n}\n",
+                format_double(report.wall_seconds).c_str(),
                 format_double(report.total_seconds).c_str(),
                 format_double(report.trial_seconds_mean).c_str(),
                 format_double(report.balls_per_sec).c_str());

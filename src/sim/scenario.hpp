@@ -226,14 +226,17 @@ struct RunReport {
   /// parallel.* counters, udp runs the cluster.* counters.
   std::vector<obs::MetricValue> metrics;
 
-  /// Per-trial wall timing (seconds), aggregated over trials.
+  /// Wall-clock seconds of the whole run, start to finish.
+  double wall_seconds = 0.0;
+  /// Per-trial wall timing (seconds), aggregated over trials. With
+  /// parallel trial execution total_seconds is the sum of per-trial times
+  /// (busy seconds across workers), so it can exceed wall_seconds; a kSim
+  /// wire run, whose trials are not separable, reports its call time.
   double total_seconds = 0.0;
   double trial_seconds_min = 0.0;
   double trial_seconds_mean = 0.0;
   double trial_seconds_max = 0.0;
-  /// Aggregate throughput: trials * balls / total_seconds. For parallel
-  /// trial execution total_seconds is the sum of per-trial times (CPU
-  /// seconds of useful work), so this is per-core throughput.
+  /// Aggregate throughput: trials * balls / wall_seconds.
   double balls_per_sec = 0.0;
 
   [[nodiscard]] double mean_max_load() const noexcept {

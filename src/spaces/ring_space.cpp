@@ -1,6 +1,5 @@
 #include "spaces/ring_space.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -16,7 +15,7 @@ RingSpace::RingSpace(std::vector<double> positions)
       throw std::invalid_argument("RingSpace: positions must lie in [0, 1)");
     }
   }
-  std::sort(positions_.begin(), positions_.end());
+  geometry::sort_unit_interval(positions_);
   arcs_ = geometry::arc_lengths(positions_);
 }
 

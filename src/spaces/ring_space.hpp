@@ -4,6 +4,11 @@
 // owns the counterclockwise arc from its position to the next server's
 // (consistent hashing). Owner lookup is a binary search over the sorted
 // positions; region measures are the arc lengths.
+//
+// Construction is expected O(n): positions are bucket-sorted by their
+// leading bits (geometry::sort_unit_interval), with the same result as
+// std::sort. A bucket crowded by clustered, user-supplied positions falls
+// back to std::sort, so the worst case is O(n log n), never quadratic.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 // resolved-spec echo, and the CSV/JSON reporting helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <system_error>
 #include <string>
@@ -223,6 +224,29 @@ TEST(Scenario, QuantilesTrackTheHistogram) {
   EXPECT_GT(r.balls_per_sec, 0.0);
   EXPECT_LE(r.trial_seconds_min, r.trial_seconds_mean);
   EXPECT_LE(r.trial_seconds_mean, r.trial_seconds_max);
+}
+
+TEST(Scenario, ThroughputDividesByWallClock) {
+  auto sc = small_scenario(gm::SpaceKind::kRing, gc::TieBreak::kRandom,
+                           gm::Engine::kBatched);
+  sc.trials = 16;
+  sc.threads = 4;
+  const auto r = gm::run(sc);
+  ASSERT_GT(r.wall_seconds, 0.0);
+  // The run's wall clock spans every trial it timed.
+  EXPECT_GE(r.wall_seconds, r.trial_seconds_max);
+  EXPECT_DOUBLE_EQ(r.balls_per_sec,
+                   static_cast<double>(sc.trials * sc.num_balls) /
+                       r.wall_seconds);
+
+  const auto header = gm::scenario_csv_header(r.spec);
+  const auto row = gm::scenario_csv_row(r);
+  const auto col = std::find(header.begin(), header.end(), "wall_seconds");
+  ASSERT_NE(col, header.end());
+  EXPECT_NEAR(std::stod(row[static_cast<std::size_t>(col - header.begin())]),
+              r.wall_seconds, 1e-3 * r.wall_seconds);
+  EXPECT_NE(gm::scenario_json(r).find("\"wall_seconds\""), std::string::npos);
+  EXPECT_NE(gm::render_run_summary(r).find("wall "), std::string::npos);
 }
 
 // ------------------------------------------------------- args + reporting

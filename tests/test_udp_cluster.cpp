@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <system_error>
 #include <vector>
 
 #include "net/cluster.hpp"
+#include "net/udp_transport.hpp"
 #include "net/simulator.hpp"
 #include "obs/trace.hpp"
 
@@ -93,6 +96,7 @@ TEST(UdpCluster, PlacementsMatchTheSimulatorOracle) {
   EXPECT_EQ(real.report.loads, oracle.loads);
   EXPECT_EQ(real.report.max_load, oracle.max_load);
   EXPECT_EQ(real.malformed, 0u);
+  EXPECT_EQ(real.send_errors, 0u);
 }
 
 TEST(UdpCluster, LowestIndexTieAlsoMatches) {
@@ -246,6 +250,29 @@ TEST(UdpCluster, SingleNodeClusterServesItself) {
   ASSERT_EQ(real.report.loads.size(), 1u);
   EXPECT_EQ(real.report.loads[0], 8u);
   EXPECT_EQ(real.report.max_load, 8u);
+}
+
+TEST(UdpTransport, RefusedSendsAreCounted) {
+  // The limited broadcast address needs SO_BROADCAST, which the transport
+  // never sets: the kernel refuses the datagram with EACCES every time.
+  // Loopback to the transport's own port succeeds.
+  std::unique_ptr<net::UdpTransport> t;
+  try {
+    t = std::make_unique<net::UdpTransport>(0, 0);
+  } catch (const std::system_error&) {
+    GTEST_SKIP() << "loopback sockets unavailable";
+  }
+  t->set_peers({net::Endpoint{0xffffffffu, 9}, net::Endpoint{0x7f000001u,
+                                                             t->port()}});
+  net::Message m;
+  m.at = 0;
+  t->send(m);
+  t->send(m);
+  EXPECT_EQ(t->send_errors(), 2u);
+  m.at = 1;
+  t->send(m);
+  EXPECT_EQ(t->send_errors(), 2u);
+  EXPECT_EQ(t->links().total, 3u);  // attempts, refused ones included
 }
 
 }  // namespace
