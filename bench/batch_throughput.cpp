@@ -3,7 +3,9 @@
 // Times the scalar oracle (run_process, the loop BM_ProcessPerBallRing
 // measures) against the batched engine (run_batch_process) on the same
 // machine in the same run, and writes a machine-readable BENCH_batch.json
-// so successive PRs can track the perf trajectory.
+// so successive changes can track the perf trajectory. Each speedup is the
+// median of three interleaved scalar/batched pairs; the JSON records the
+// spread of the ring and torus pairs (`*_speedup_min` / `*_speedup_max`).
 //
 // Usage: batch_throughput [--out FILE] [--n N] [--check MIN_SPEEDUP]
 //                         [--quick]
@@ -28,20 +30,6 @@ namespace gb = geochoice::bench;
 namespace gc = geochoice::core;
 namespace gr = geochoice::rng;
 namespace gs = geochoice::spaces;
-
-namespace {
-
-using gb::Measurement;
-
-/// Median-of-reps wall time for one full process run of `m` balls.
-template <typename Fn>
-Measurement measure(const std::string& name, std::uint64_t m, int kWarmup,
-                    int kReps, Fn&& run) {
-  return gb::measure(name, /*threads=*/0, m, kWarmup, kReps,
-                     std::forward<Fn>(run));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const geochoice::sim::ArgParser args(argc, argv);
@@ -80,48 +68,62 @@ int main(int argc, char** argv) {
   gc::BatchScratch<gs::BinIndex> uniform_scratch;
   gc::BatchScratch<geochoice::geometry::Vec2> torus_scratch;
 
-  std::vector<Measurement> ms;
-  ms.push_back(measure("BM_ProcessPerBallRing/scalar", n, warmup, reps, [&] {
-    const auto r = gc::run_process(ring, opt, gen);
-    if (r.max_load == 0) std::abort();
-  }));
-  ms.push_back(measure("BM_BatchProcessRing/batched", n, warmup, reps, [&] {
-    const auto r = gc::run_batch_process(ring, opt, gen, batch, &ring_scratch);
-    if (r.max_load == 0) std::abort();
-  }));
-  ms.push_back(measure("BM_ProcessPerBallUniform/scalar", n, warmup, reps, [&] {
-    const auto r = gc::run_process(uniform, opt, gen);
-    if (r.max_load == 0) std::abort();
-  }));
-  ms.push_back(measure("BM_BatchProcessUniform/batched", n, warmup, reps, [&] {
-    const auto r =
-        gc::run_batch_process(uniform, opt, gen, batch, &uniform_scratch);
-    if (r.max_load == 0) std::abort();
-  }));
-  ms.push_back(measure("BM_ProcessPerBallTorus/scalar", torus_opt.num_balls,
-                       warmup, reps, [&] {
-                         const auto r = gc::run_process(torus, torus_opt, gen);
-                         if (r.max_load == 0) std::abort();
-                       }));
-  ms.push_back(measure("BM_BatchProcessTorus/batched", torus_opt.num_balls,
-                       warmup, reps, [&] {
-                         const auto r = gc::run_batch_process(
-                             torus, torus_opt, gen, batch, &torus_scratch);
-                         if (r.max_load == 0) std::abort();
-                       }));
-
-  const double ring_speedup = ms[1].items_per_sec / ms[0].items_per_sec;
-  const double uniform_speedup = ms[3].items_per_sec / ms[2].items_per_sec;
-  const double torus_speedup = ms[5].items_per_sec / ms[4].items_per_sec;
+  // Each speedup is the median of `pairs` interleaved scalar/batched pairs.
+  const int pairs = 3;
+  const auto ring_speedup = gb::paired_speedup(
+      "BM_ProcessPerBallRing/scalar", "BM_BatchProcessRing/batched", n,
+      warmup, reps, pairs,
+      [&] {
+        const auto r = gc::run_process(ring, opt, gen);
+        if (r.max_load == 0) std::abort();
+      },
+      [&] {
+        const auto r =
+            gc::run_batch_process(ring, opt, gen, batch, &ring_scratch);
+        if (r.max_load == 0) std::abort();
+      });
+  const auto uniform_speedup = gb::paired_speedup(
+      "BM_ProcessPerBallUniform/scalar", "BM_BatchProcessUniform/batched", n,
+      warmup, reps, pairs,
+      [&] {
+        const auto r = gc::run_process(uniform, opt, gen);
+        if (r.max_load == 0) std::abort();
+      },
+      [&] {
+        const auto r =
+            gc::run_batch_process(uniform, opt, gen, batch, &uniform_scratch);
+        if (r.max_load == 0) std::abort();
+      });
+  const auto torus_speedup = gb::paired_speedup(
+      "BM_ProcessPerBallTorus/scalar", "BM_BatchProcessTorus/batched",
+      torus_opt.num_balls, warmup, reps, pairs,
+      [&] {
+        const auto r = gc::run_process(torus, torus_opt, gen);
+        if (r.max_load == 0) std::abort();
+      },
+      [&] {
+        const auto r = gc::run_batch_process(torus, torus_opt, gen, batch,
+                                             &torus_scratch);
+        if (r.max_load == 0) std::abort();
+      });
+  const std::vector<gb::Measurement> ms = {
+      ring_speedup.base,  ring_speedup.fast,  uniform_speedup.base,
+      uniform_speedup.fast, torus_speedup.base, torus_speedup.fast};
 
   std::printf("%-34s %15s %12s\n", "benchmark", "items/sec", "ns/ball");
   for (const auto& m : ms) {
     std::printf("%-34s %15.0f %12.2f\n", m.name.c_str(), m.items_per_sec,
                 m.ns_per_item);
   }
-  std::printf("\nring    speedup (batched/scalar): %.2fx\n", ring_speedup);
-  std::printf("uniform speedup (batched/scalar): %.2fx\n", uniform_speedup);
-  std::printf("torus   speedup (batched/scalar): %.2fx\n", torus_speedup);
+  const auto print_speedup = [](const char* label,
+                                const gb::PairedSpeedup& sp) {
+    std::printf("%-8s speedup (batched/scalar): %.2fx (pairs %.2f-%.2f)\n",
+                label, sp.median, sp.min, sp.max);
+  };
+  std::printf("\n");
+  print_speedup("ring", ring_speedup);
+  print_speedup("uniform", uniform_speedup);
+  print_speedup("torus", torus_speedup);
 
   std::string json;
   json += "{\n";
@@ -129,10 +131,11 @@ int main(int argc, char** argv) {
   char cfg[256];
   std::snprintf(cfg, sizeof(cfg),
                 "  \"config\": {\"n\": %llu, \"m\": %llu, \"d\": 2, "
-                "\"tie\": \"random\", \"block_size\": %zu, \"quick\": %s},\n",
+                "\"tie\": \"random\", \"block_size\": %zu, \"quick\": %s, "
+                "\"pairs\": %d},\n",
                 static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(n), batch.block_size,
-                quick ? "true" : "false");
+                quick ? "true" : "false", pairs);
   json += cfg;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
@@ -140,20 +143,25 @@ int main(int argc, char** argv) {
                     i + 1 == ms.size());
   }
   json += "  ],\n";
-  char tail[192];
-  std::snprintf(tail, sizeof(tail),
-                "  \"ring_speedup\": %.3f,\n  \"uniform_speedup\": %.3f,\n"
-                "  \"torus_speedup\": %.3f\n}\n",
-                ring_speedup, uniform_speedup, torus_speedup);
+  char tail[512];
+  std::snprintf(
+      tail, sizeof(tail),
+      "  \"ring_speedup\": %.3f,\n  \"ring_speedup_min\": %.3f,\n"
+      "  \"ring_speedup_max\": %.3f,\n  \"uniform_speedup\": %.3f,\n"
+      "  \"torus_speedup\": %.3f,\n  \"torus_speedup_min\": %.3f,\n"
+      "  \"torus_speedup_max\": %.3f\n}\n",
+      ring_speedup.median, ring_speedup.min, ring_speedup.max,
+      uniform_speedup.median, torus_speedup.median, torus_speedup.min,
+      torus_speedup.max);
   json += tail;
 
   if (const int rc = gb::write_json_or_fail(out_path, json); rc != 0) {
     return rc;
   }
 
-  if (check > 0.0 && ring_speedup < check) {
+  if (check > 0.0 && ring_speedup.median < check) {
     std::fprintf(stderr, "FAIL: ring speedup %.2fx < required %.2fx\n",
-                 ring_speedup, check);
+                 ring_speedup.median, check);
     return 1;
   }
   return 0;

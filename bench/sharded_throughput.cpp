@@ -3,8 +3,9 @@
 // The batched engine (BENCH_batch.json) caps a single allocation at one
 // core; this bench measures what the sharded engine buys on top: ring
 // sharded-vs-batched balls/sec across a thread sweep, and the torus batch
-// path (SoA bucket scan) against the scalar oracle. Writes machine-readable
-// BENCH_sharded.json for the perf-gate / trajectory tracking.
+// path (prefetched 3x3 block scan) against the scalar oracle. Writes
+// machine-readable BENCH_sharded.json for the perf-gate / trajectory
+// tracking.
 //
 // Usage: sharded_throughput [--out FILE] [--n N] [--m M] [--quick]
 //   --out FILE   JSON output path (default BENCH_sharded.json)
@@ -108,18 +109,23 @@ int main(int argc, char** argv) {
     ring_sharded_best = std::max(ring_sharded_best, ms.back().items_per_sec);
   }
 
-  // --- torus: scalar oracle vs batched (SoA bucket scan) vs sharded.
-  ms.push_back(measure("TorusScalar/scalar", 0, torus_m, warmup, reps, [&] {
-    const auto r = gc::run_process(torus, torus_opt, gen);
-    if (r.max_load == 0) std::abort();
-  }));
-  const double torus_scalar = ms.back().items_per_sec;
-  ms.push_back(measure("TorusBatch/batched", 0, torus_m, warmup, reps, [&] {
-    const auto r =
-        gc::run_batch_process(torus, torus_opt, gen, {}, &torus_bscratch);
-    if (r.max_load == 0) std::abort();
-  }));
-  const double torus_batched = ms.back().items_per_sec;
+  // --- torus: scalar oracle vs batched (block scan) vs sharded. The
+  // batched/scalar ratio is the median of three interleaved pairs.
+  const auto torus_batched_speedup = gb::paired_speedup(
+      "TorusScalar/scalar", "TorusBatch/batched", torus_m, warmup, reps,
+      /*pairs=*/3,
+      [&] {
+        const auto r = gc::run_process(torus, torus_opt, gen);
+        if (r.max_load == 0) std::abort();
+      },
+      [&] {
+        const auto r =
+            gc::run_batch_process(torus, torus_opt, gen, {}, &torus_bscratch);
+        if (r.max_load == 0) std::abort();
+      });
+  ms.push_back(torus_batched_speedup.base);
+  ms.push_back(torus_batched_speedup.fast);
+  const double torus_batched = torus_batched_speedup.fast.items_per_sec;
   double torus_sharded_best = 0.0;
   for (const std::size_t t : sweep) {
     gc::ShardedOptions so;
@@ -135,7 +141,6 @@ int main(int argc, char** argv) {
   }
 
   const double ring_sharded_speedup = ring_sharded_best / ring_batched;
-  const double torus_batched_speedup = torus_batched / torus_scalar;
   const double torus_sharded_speedup = torus_sharded_best / torus_batched;
 
   std::printf("%-28s %8s %15s %12s\n", "benchmark", "threads", "items/sec",
@@ -146,7 +151,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\nhw threads: %zu\n", hw);
   std::printf("ring  sharded best / batched : %.2fx\n", ring_sharded_speedup);
-  std::printf("torus batched      / scalar  : %.2fx\n", torus_batched_speedup);
+  std::printf("torus batched      / scalar  : %.2fx (pairs %.2f-%.2f)\n",
+              torus_batched_speedup.median, torus_batched_speedup.min,
+              torus_batched_speedup.max);
   std::printf("torus sharded best / batched : %.2fx\n", torus_sharded_speedup);
 
   std::string json;
@@ -168,12 +175,15 @@ int main(int argc, char** argv) {
                     i + 1 == ms.size());
   }
   json += "  ],\n";
-  char tail[256];
+  char tail[384];
   std::snprintf(tail, sizeof(tail),
                 "  \"ring_sharded_speedup\": %.3f,\n"
                 "  \"torus_batched_speedup\": %.3f,\n"
+                "  \"torus_batched_speedup_min\": %.3f,\n"
+                "  \"torus_batched_speedup_max\": %.3f,\n"
                 "  \"torus_sharded_speedup\": %.3f\n}\n",
-                ring_sharded_speedup, torus_batched_speedup,
+                ring_sharded_speedup, torus_batched_speedup.median,
+                torus_batched_speedup.min, torus_batched_speedup.max,
                 torus_sharded_speedup);
   json += tail;
 

@@ -15,7 +15,9 @@ passing metrics, so a close call is visible before it becomes a failure.
 Usage:
   check_perf.py [--verbose] RESULTS_JSON BASELINE_JSON
   check_perf.py --self-test BASELINE_JSON    # prove the gate can fail: for
-        every gated file, synthesize results regressed below the floors and
+        every gated file, check that results at the floors (plus the
+        benches' "machine" fingerprint) pass, synthesize results regressed
+        below the floors and
         assert both the rejection and the failure-message format (value,
         floor, and an exact -50.0% margin for the injected halving); a
         metric that records its "parent" value (what the algorithm it
@@ -99,6 +101,14 @@ def self_test(baseline):
     print("self-test: injecting regressions below every floor")
     total = 0
     for fname, gates in baseline["files"].items():
+        # Results sitting exactly on every floor pass, and the "machine"
+        # fingerprint the benches write is ignored, not gated.
+        at_floor = {metric: gate["min"] for metric, gate in gates.items()}
+        at_floor["hw_threads"] = 10**6
+        at_floor["machine"] = {"cpu_model": "self-test", "nproc": 1}
+        if check(at_floor, gates, fname):
+            print(f"self-test FAILED: {fname} rejects results at its floors")
+            return 1
         fake = {metric: gate["min"] * 0.5 for metric, gate in gates.items()}
         fake["hw_threads"] = 10**6  # never trigger the skip path
         failures = check(fake, gates, fname)

@@ -44,25 +44,17 @@ class SpatialGrid {
   /// Distance-squared to the nearest site.
   [[nodiscard]] double nearest_dist2(Vec2 q) const noexcept;
 
-  /// Reusable scratch for nearest_batch (avoids per-block allocations when
-  /// the batched process resolves millions of blocks).
-  struct BatchScratch {
-    std::vector<std::uint64_t> keyed;  // (bucket << 32 | query index)
-  };
-
   /// Batched nearest-site resolution: `out[i] = nearest(qs[i])` for every
-  /// query. Two batch-only optimizations on top of the scalar walk:
-  ///   * SoA candidate scan — bucket contents are stored as separate
-  ///     coordinate arrays in bucket order (bucket_x_/bucket_y_), so a
-  ///     bucket's candidates are one contiguous, branchless distance sweep
-  ///     instead of an index-indirected gather, and the wrap of ring bucket
-  ///     coordinates comes from a precomputed table instead of div/mod;
-  ///   * bucket-sorted resolution order (when the grid spills out of cache)
-  ///     so consecutive lookups share ring neighborhoods.
-  /// Requires qs.size() == out.size(). Queries must lie in [0,1)^2 (the
-  /// process engines' domain); others are wrapped first.
-  void nearest_batch(std::span<const Vec2> qs, std::span<std::uint32_t> out,
-                     BatchScratch* scratch = nullptr) const;
+  /// Batched nearest-site resolution: `out[i] = nearest(qs[i])` for every
+  /// query, bit for bit. Queries resolve in arrival order through the
+  /// nearest_soa kernel with a two-stage software prefetch: 16 queries
+  /// ahead it pulls in the CSR offsets of the query's three block rows, 8
+  /// queries ahead the bucket_x_/bucket_y_/order_ lines those offsets point
+  /// at, so each query finds its candidates in cache. Requires qs.size() ==
+  /// out.size(). Queries must lie in [0,1)^2 (the process engines'
+  /// domain); others are wrapped first.
+  void nearest_batch(std::span<const Vec2> qs,
+                     std::span<std::uint32_t> out) const;
 
   /// Invoke `fn(site_index, dist2)` for every site within torus distance
   /// `radius` of `q` (inclusive). Visits each site exactly once; order is
@@ -109,13 +101,32 @@ class SpatialGrid {
 
  private:
   [[nodiscard]] std::uint32_t bucket_of(double coord) const noexcept;
+  /// bucket_of for a coordinate already wrapped into [0,1).
+  [[nodiscard]] std::uint32_t unit_bucket_of(double w) const noexcept;
   [[nodiscard]] std::uint32_t ring_cover(double radius) const noexcept;
 
-  /// Scalar nearest over the SoA bucket storage: same ring walk, pruning,
-  /// and index tie-break as nearest(), but candidates are scanned from the
-  /// contiguous per-bucket coordinate arrays with branchless torus deltas
-  /// and table-based bucket wrap. Bit-identical result to nearest() for
-  /// queries in [0,1)^2. The batch path's inner kernel.
+  /// The batch path's per-query kernel: the same result as nearest() for
+  /// queries in [0,1)^2, with less branching.
+  ///   * The 3x3 bucket block around q (rings 0 and 1) is scanned as three
+  ///     row runs. Buckets are stored row-major, so columns bx-1..bx+1 of a
+  ///     row are one contiguous CSR range, split in two only at the x seam.
+  ///   * Candidates come from the SoA arrays (bucket_x_/bucket_y_). Each
+  ///     torus delta folds as min(dx, 1 - dx), bit-equal to torus_dist2:
+  ///     for dx >= 1/2, 1 - dx is exact (Sterbenz), and for dx < 1/2 it
+  ///     rounds to at least 1/2.
+  ///   * The best candidate is one branch-free lexicographic minimum over
+  ///     (dist2, site index), the same order nearest() keeps.
+  ///   * After the block it stops once (e - slack)^2 > best dist2, where e
+  ///     is q's distance to the block's outer edge and slack = 1e-9 cell.
+  ///     In exact arithmetic every site outside the block is at least e
+  ///     from q. Bucket assignment, the edge and the distances are each
+  ///     computed within a few ulps of 1, far below the slack for any grid
+  ///     that fits in memory, so every outside site's computed dist2
+  ///     exceeds (e - slack)^2 and hence the best: it can neither win nor
+  ///     tie, and stopping is exact. nearest()'s own bound, (ring - 1)
+  ///     cells, ignores where q sits in its bucket. When the test fails,
+  ///     rings >= 2 follow nearest()'s walk and bound.
+  ///   * With one bucket (k = 1) it scans every site.
   [[nodiscard]] std::uint32_t nearest_soa(Vec2 q) const noexcept;
 
   /// Visit every site stored in the Chebyshev ring at distance `ring`

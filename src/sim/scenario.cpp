@@ -1,5 +1,7 @@
 #include "sim/scenario.hpp"
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -160,6 +162,20 @@ std::size_t resolve_wire_workers(const Scenario& sc) noexcept {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// CPU seconds consumed so far by every thread of this process.
+double process_cpu_seconds() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Both clocks a run report is timed with, read when the run starts.
+struct RunStart {
+  Clock::time_point wall = Clock::now();
+  double cpu = process_cpu_seconds();
+};
 
 struct TrialOutcome {
   std::uint32_t max_load = 0;
@@ -530,11 +546,12 @@ void write_trace_file(const obs::TraceRecorder& rec, const std::string& path) {
   }
 }
 
-/// Wall time since `start`, and the throughput it gives.
+/// Wall and CPU time since `start`, and the throughput it gives.
 void set_throughput(RunReport& report, const Scenario& sc,
-                    Clock::time_point start) {
+                    const RunStart& start) {
   report.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+      std::chrono::duration<double>(Clock::now() - start.wall).count();
+  report.cpu_seconds = process_cpu_seconds() - start.cpu;
   if (report.wall_seconds > 0.0) {
     report.balls_per_sec = static_cast<double>(sc.balls()) *
                            static_cast<double>(sc.trials) /
@@ -543,7 +560,7 @@ void set_throughput(RunReport& report, const Scenario& sc,
 }
 
 RunReport run_wire(const Scenario& sc_in) {
-  const auto start = Clock::now();
+  const RunStart start;
   // Resolve the kAuto worker rule first so validation, execution and the
   // echoed spec all see the same concrete count.
   Scenario sc = sc_in;
@@ -610,7 +627,7 @@ RunReport run_wire(const Scenario& sc_in) {
 }
 
 RunReport run_structural(const Scenario& sc) {
-  const auto start = Clock::now();
+  const RunStart start;
   const Engine engine = resolve_engine(sc);
   validate(sc, engine);
   const std::uint64_t measure_samples =
@@ -854,9 +871,9 @@ std::string render_run_summary(const RunReport& report) {
     }
   }
   std::snprintf(buf, sizeof(buf),
-                "timing:   wall %.3fs, trials total %.3fs, per trial "
-                "%.2g/%.2g/%.2g s (min/mean/max), %.3g balls/sec\n",
-                report.wall_seconds, report.total_seconds,
+                "timing:   wall %.3fs, cpu %.3fs, trials total %.3fs, per "
+                "trial %.2g/%.2g/%.2g s (min/mean/max), %.3g balls/sec\n",
+                report.wall_seconds, report.cpu_seconds, report.total_seconds,
                 report.trial_seconds_min,
                 report.trial_seconds_mean, report.trial_seconds_max,
                 report.balls_per_sec);
@@ -881,7 +898,7 @@ std::vector<std::string> scenario_csv_header(const Scenario& spec) {
   };
   for (const double q : spec.quantiles) h.push_back(quantile_label(q));
   h.insert(h.end(), {"max_load_min", "max_load_max", "wall_seconds",
-                     "total_seconds", "balls_per_sec"});
+                     "cpu_seconds", "total_seconds", "balls_per_sec"});
   return h;
 }
 
@@ -907,6 +924,7 @@ std::vector<std::string> scenario_csv_row(const RunReport& report) {
   row.push_back(std::to_string(report.max_load.min_value()));
   row.push_back(std::to_string(report.max_load.max_value()));
   row.push_back(format_double(report.wall_seconds));
+  row.push_back(format_double(report.cpu_seconds));
   row.push_back(format_double(report.total_seconds));
   row.push_back(format_double(report.balls_per_sec));
   return row;
@@ -999,10 +1017,12 @@ std::string scenario_json(const RunReport& report) {
   }
   json += "},\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"wall_seconds\": %s,\n  \"total_seconds\": %s,\n"
+                "  \"wall_seconds\": %s,\n  \"cpu_seconds\": %s,\n"
+                "  \"total_seconds\": %s,\n"
                 "  \"trial_seconds_mean\": %s,\n"
                 "  \"balls_per_sec\": %s\n}\n",
                 format_double(report.wall_seconds).c_str(),
+                format_double(report.cpu_seconds).c_str(),
                 format_double(report.total_seconds).c_str(),
                 format_double(report.trial_seconds_mean).c_str(),
                 format_double(report.balls_per_sec).c_str());

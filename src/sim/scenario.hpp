@@ -228,6 +228,10 @@ struct RunReport {
 
   /// Wall-clock seconds of the whole run, start to finish.
   double wall_seconds = 0.0;
+  /// CPU seconds the whole process spent over the same span, summed over
+  /// its threads: at most wall_seconds x threads, plus any other thread
+  /// the caller runs meanwhile.
+  double cpu_seconds = 0.0;
   /// Per-trial wall timing (seconds), aggregated over trials. With
   /// parallel trial execution total_seconds is the sum of per-trial times
   /// (busy seconds across workers), so it can exceed wall_seconds; a kSim

@@ -49,12 +49,12 @@ class TorusSpace {
     return grid_.nearest(p);
   }
 
-  /// Bulk owner lookup via the grid's bucket-local batch resolver; result i
-  /// equals owner(ps[i]).
-  void owner_batch(std::span<const Location> ps, std::span<BinIndex> out,
-                   geometry::SpatialGrid::BatchScratch* scratch =
-                       nullptr) const {
-    grid_.nearest_batch(ps, out, scratch);
+  /// Bulk owner lookup through SpatialGrid::nearest_batch: a prefetched,
+  /// branch-free scan of each query's 3x3 bucket block with an exact stop
+  /// bound (see SpatialGrid::nearest_soa). Result i equals owner(ps[i]).
+  void owner_batch(std::span<const Location> ps,
+                   std::span<BinIndex> out) const {
+    grid_.nearest_batch(ps, out);
   }
 
   /// Shard of a location when the torus is cut into `k` equal horizontal

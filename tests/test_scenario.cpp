@@ -249,6 +249,30 @@ TEST(Scenario, ThroughputDividesByWallClock) {
   EXPECT_NE(gm::render_run_summary(r).find("wall "), std::string::npos);
 }
 
+TEST(Scenario, CpuSecondsIsProcessCpuOverTheRun) {
+  auto sc = small_scenario(gm::SpaceKind::kTorus, gc::TieBreak::kLowestIndex,
+                           gm::Engine::kBatched);
+  sc.trials = 16;
+  sc.threads = 4;
+  const auto r = gm::run(sc);
+  // CPU time cannot outrun every worker busy for the whole wall span (5%
+  // slack for clock granularity).
+  EXPECT_GT(r.cpu_seconds, 0.0);
+  EXPECT_LE(r.cpu_seconds, r.wall_seconds * static_cast<double>(sc.threads) *
+                               1.05);
+
+  const auto header = gm::scenario_csv_header(r.spec);
+  const auto row = gm::scenario_csv_row(r);
+  const auto wall = std::find(header.begin(), header.end(), "wall_seconds");
+  ASSERT_NE(wall, header.end());
+  ASSERT_NE(wall + 1, header.end());
+  EXPECT_EQ(*(wall + 1), "cpu_seconds");
+  const auto cpu_col = static_cast<std::size_t>(wall + 1 - header.begin());
+  EXPECT_NEAR(std::stod(row[cpu_col]), r.cpu_seconds, 1e-3 * r.cpu_seconds);
+  EXPECT_NE(gm::scenario_json(r).find("\"cpu_seconds\""), std::string::npos);
+  EXPECT_NE(gm::render_run_summary(r).find(", cpu "), std::string::npos);
+}
+
 // ------------------------------------------------------- args + reporting
 
 TEST(Scenario, FromArgsParsesEveryFlagOverDefaults) {
