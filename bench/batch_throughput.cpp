@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
   json += cfg;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    gb::append_json(json, ms[i], "ball", /*with_threads=*/false,
-                    i + 1 == ms.size());
+    gb::append_json(json, ms[i], "ball", i + 1 == ms.size());
   }
   json += "  ],\n";
   char tail[512];

@@ -1,6 +1,7 @@
 // bench_json.hpp — shared scaffolding for the throughput benches.
 //
-// batch_throughput, sharded_throughput and net_throughput all follow the
+// batch_throughput, net_throughput and the other throughput benches follow
+// the
 // same protocol: median-of-reps wall timing, a printable Measurement row,
 // rows appended into a JSON document, and a loud nonzero-exit write of the
 // --out file (the CI perf gate reads these files, so a silently dropped
@@ -26,15 +27,14 @@ using Clock = std::chrono::steady_clock;
 
 struct Measurement {
   std::string name;
-  std::size_t threads = 0;  // 0 = single-threaded engine (no worker pool)
   double items_per_sec = 0.0;
   double ns_per_item = 0.0;
 };
 
 /// Median-of-reps wall time for one run processing `items` items.
 template <typename Fn>
-Measurement measure(const std::string& name, std::size_t threads,
-                    std::uint64_t items, int warmup, int reps, Fn&& run) {
+Measurement measure(const std::string& name, std::uint64_t items, int warmup,
+                    int reps, Fn&& run) {
   for (int i = 0; i < warmup; ++i) run();
   std::vector<double> secs(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
@@ -48,7 +48,6 @@ Measurement measure(const std::string& name, std::size_t threads,
   const double median = secs[static_cast<std::size_t>(reps) / 2];
   Measurement out;
   out.name = name;
-  out.threads = threads;
   out.items_per_sec = static_cast<double>(items) / median;
   out.ns_per_item = median * 1e9 / static_cast<double>(items);
   return out;
@@ -77,8 +76,8 @@ PairedSpeedup paired_speedup(const std::string& base_name,
   std::vector<Pair> runs;
   for (int p = 0; p < pairs; ++p) {
     const int w = p == 0 ? warmup : 0;
-    const Measurement b = measure(base_name, 0, items, w, reps, base);
-    const Measurement f = measure(fast_name, 0, items, w, reps, fast);
+    const Measurement b = measure(base_name, items, w, reps, base);
+    const Measurement f = measure(fast_name, items, w, reps, fast);
     runs.push_back({f.items_per_sec / b.items_per_sec, b, f});
   }
   std::sort(runs.begin(), runs.end(),
@@ -89,25 +88,15 @@ PairedSpeedup paired_speedup(const std::string& base_name,
 }
 
 /// Append one result row. `unit` names the per-item field ("ball" writes
-/// "ns_per_ball", keeping the historical schema of the batch/sharded
-/// files); `with_threads` controls whether the row carries a threads
-/// column.
+/// "ns_per_ball", keeping the historical schema of the batch file).
 inline void append_json(std::string& json, const Measurement& m,
-                        const char* unit, bool with_threads, bool last) {
+                        const char* unit, bool last) {
   char buf[256];
-  if (with_threads) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"threads\": %zu, "
-                  "\"items_per_sec\": %.1f, \"ns_per_%s\": %.3f}%s\n",
-                  m.name.c_str(), m.threads, m.items_per_sec, unit,
-                  m.ns_per_item, last ? "" : ",");
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"items_per_sec\": %.1f, "
-                  "\"ns_per_%s\": %.3f}%s\n",
-                  m.name.c_str(), m.items_per_sec, unit, m.ns_per_item,
-                  last ? "" : ",");
-  }
+  std::snprintf(buf, sizeof(buf),
+                "    {\"name\": \"%s\", \"items_per_sec\": %.1f, "
+                "\"ns_per_%s\": %.3f}%s\n",
+                m.name.c_str(), m.items_per_sec, unit, m.ns_per_item,
+                last ? "" : ",");
   json += buf;
 }
 

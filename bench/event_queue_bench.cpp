@@ -95,13 +95,13 @@ int main(int argc, char** argv) {
   std::vector<gb::Measurement> ms;
   double sink = 0.0;
   auto run_pair = [&](const char* tag, std::size_t population) {
-    ms.push_back(gb::measure(std::string("calendar/hold/") + tag, 0, ops,
+    ms.push_back(gb::measure(std::string("calendar/hold/") + tag, ops,
                              warmup, reps, [&] {
                                sink += hold<gn::EventQueue<Payload>>(
                                    population, ops, 42);
                              }));
     const double cal = ms.back().items_per_sec;
-    ms.push_back(gb::measure(std::string("heap/hold/") + tag, 0, ops, warmup,
+    ms.push_back(gb::measure(std::string("heap/hold/") + tag, ops, warmup,
                              reps, [&] {
                                sink += hold<gn::HeapEventQueue<Payload>>(
                                    population, ops, 42);
@@ -113,13 +113,13 @@ int main(int argc, char** argv) {
   const double speedup_large = run_pair("large", kLarge);
 
   const std::uint64_t flood_events = quick ? 100000 : 400000;
-  ms.push_back(gb::measure("calendar/flood", 0, flood_events, warmup, reps,
+  ms.push_back(gb::measure("calendar/flood", flood_events, warmup, reps,
                            [&] {
                              sink += flood<gn::EventQueue<Payload>>(
                                  static_cast<std::size_t>(flood_events));
                            }));
   const double cal_flood = ms.back().items_per_sec;
-  ms.push_back(gb::measure("heap/flood", 0, flood_events, warmup, reps, [&] {
+  ms.push_back(gb::measure("heap/flood", flood_events, warmup, reps, [&] {
     sink += flood<gn::HeapEventQueue<Payload>>(
         static_cast<std::size_t>(flood_events));
   }));
@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
   json += buf;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    gb::append_json(json, ms[i], "event", /*with_threads=*/false,
-                    i + 1 == ms.size());
+    gb::append_json(json, ms[i], "event", i + 1 == ms.size());
   }
   json += "  ],\n";
   std::snprintf(buf, sizeof(buf),

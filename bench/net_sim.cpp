@@ -23,13 +23,8 @@
 //   --trials=20       independent rings
 //   --seed=...        master seed
 //   --threads=0       trial parallelism (0 = hardware)
-//   --workers=0       in-trial engine parallelism: 0 = sequential
-//                     NetSimulator; K >= 1 = ParallelNetSimulator with K
-//                     barrier workers per trial (bit-identical results;
-//                     needs a latency model with a positive minimum)
-//   --shards=0        ring shards for the parallel engine (0 = 4/worker)
 //   --transport=sim   sim | udp (udp runs every trial on a real loopback
-//                     UDP cluster; latency/workers/shards do not apply)
+//                     UDP cluster; latency does not apply)
 //   --csv=PATH        also append one metrics row per run to PATH
 //
 // Sweep mode (the ROADMAP stale-information study, self-contained):

@@ -25,9 +25,6 @@
 //                            interleaved pairs, so machine-independent and
 //                            floored too.
 //
-// The JSON records hw_threads (like sharded_throughput) so perf-gate skips
-// and cross-runner comparisons stay auditable.
-//
 // Usage: net_throughput [--out FILE] [--n N] [--m M] [--quick]
 //   --out FILE   JSON output path (default BENCH_net.json)
 //   --n N        ring nodes (default 16384 = 2^14)
@@ -38,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -143,7 +139,7 @@ int main(int argc, char** argv) {
 
   // --- message-level two-choice over the DES.
   std::uint64_t events = 0;
-  ms.push_back(gb::measure("NetTwoChoice/wire", 0, m, warmup, reps, [&] {
+  ms.push_back(gb::measure("NetTwoChoice/wire", m, warmup, reps, [&] {
     gn::NetSimulator sim(ring, cfg);
     const auto r = sim.run();
     events = r.events;
@@ -173,10 +169,10 @@ int main(int argc, char** argv) {
   double obs_ratios[3];
   gb::Measurement obs_row;
   for (double& ratio : obs_ratios) {
-    const auto off = gb::measure("NetTwoChoice/wire", 0, m, 0, reps,
+    const auto off = gb::measure("NetTwoChoice/wire", m, 0, reps,
                                  wire_once);
     go::set_enabled(true);
-    obs_row = gb::measure("NetTwoChoice/wire+obs", 0, m, 0, reps, wire_once);
+    obs_row = gb::measure("NetTwoChoice/wire+obs", m, 0, reps, wire_once);
     go::set_enabled(false);
     ratio = obs_row.items_per_sec / off.items_per_sec;
   }
@@ -184,78 +180,8 @@ int main(int argc, char** argv) {
   const double obs_overhead = go::compiled_in() ? obs_ratios[1] : 1.0;
   ms.push_back(obs_row);
 
-  // --- conservative parallel engine: events/sec per worker count.
-  // Worker count 1 runs the full windowing machinery (min_time bounds,
-  // mailboxes, inline fills) with zero threads — the pure-overhead row the
-  // perf gate holds to <= 15% vs the sequential engine. Higher counts are
-  // the scaling rows; their floors are hw-gated (min_hw_threads) so a
-  // starved runner skips instead of flaking.
-  std::vector<std::size_t> worker_counts{1, 2};
-  const std::size_t hw = std::thread::hardware_concurrency() == 0
-                             ? 1
-                             : std::thread::hardware_concurrency();
-  for (std::size_t w = 4; w <= hw; w *= 2) worker_counts.push_back(w);
-
-  double par_t1_events_per_sec = 0.0;
-  double par_t2_events_per_sec = 0.0;
-  double par_best_events_per_sec = 0.0;
-  std::uint64_t windows = 0;
-  std::uint64_t crew_tasks = 0;
-  for (const std::size_t w : worker_counts) {
-    std::uint64_t par_events = 0;
-    const auto row =
-        gb::measure("ParallelNet/wire", w, m, warmup, reps, [&] {
-          gn::ParallelNetSimulator sim(ring, cfg, {w, 0});
-          const auto r = sim.run();
-          par_events = r.events;
-          // Window and crew-task counts are pure functions of
-          // (seed, config) — the same at every worker count — so reading
-          // them off any rep instruments the whole sweep for free.
-          windows = sim.window_count();
-          crew_tasks = sim.crew_task_count();
-          if (r.max_load == 0) std::abort();
-        });
-    if (par_events != events) std::abort();  // engines must agree exactly
-    gb::Measurement par_row;
-    par_row.name = "ParallelNet/events";
-    par_row.threads = w;
-    par_row.items_per_sec = row.items_per_sec *
-                            static_cast<double>(events) /
-                            static_cast<double>(m);
-    par_row.ns_per_item = 1e9 / par_row.items_per_sec;
-    ms.push_back(par_row);
-    if (w == 1) par_t1_events_per_sec = par_row.items_per_sec;
-    if (w == 2) par_t2_events_per_sec = par_row.items_per_sec;
-    if (par_row.items_per_sec > par_best_events_per_sec) {
-      par_best_events_per_sec = par_row.items_per_sec;
-    }
-  }
-  const double parallel_t1_vs_sequential =
-      par_t1_events_per_sec / events_per_sec;
-  // The 2-worker sanity ratio: adding one worker must never *cost* much.
-  // On few-core hosts CrewMode::kAuto detects the oversubscription and
-  // runs inline, so this holds everywhere — floored unconditionally by
-  // the perf gate (the historical failure was 0.48x on a 1-core runner).
-  const double parallel_t2_vs_t1 =
-      par_t2_events_per_sec / par_t1_events_per_sec;
-  const double parallel_scaling_best =
-      par_best_events_per_sec / par_t1_events_per_sec;
-  // Conservative-window shape at the t1 rate: how often the engine hits a
-  // barrier, and what share of events banked crew work (the batch-fill
-  // ratio — the parallel fraction the crew can actually take).
-  const double parallel_windows_per_sec =
-      par_t1_events_per_sec * static_cast<double>(windows) /
-      static_cast<double>(events);
-  const double parallel_batch_fill_ratio =
-      static_cast<double>(crew_tasks) / static_cast<double>(events);
-  gb::Measurement win_row;
-  win_row.name = "ParallelNet/windows";
-  win_row.items_per_sec = parallel_windows_per_sec;
-  win_row.ns_per_item = 1e9 / parallel_windows_per_sec;
-  ms.push_back(win_row);
-
   // --- structural baseline: same probes, no messages.
-  ms.push_back(gb::measure("TwoChoiceDht/structural", 0, m, warmup, reps, [&] {
+  ms.push_back(gb::measure("TwoChoiceDht/structural", m, warmup, reps, [&] {
     gr::DefaultEngine gen(42);
     gd::TwoChoiceDht dht(ring, cfg.choices);
     for (std::uint64_t k = 0; k < m; ++k) (void)dht.insert(gen);
@@ -280,16 +206,9 @@ int main(int argc, char** argv) {
     std::printf("%-28s %15.0f %12.2f\n", r.name.c_str(), r.items_per_sec,
                 r.ns_per_item);
   }
-  std::printf("\nhw threads: %u\n", std::thread::hardware_concurrency());
-  std::printf("events/sec (DES loop)      : %.0f\n", events_per_sec);
+  std::printf("\nevents/sec (DES loop)      : %.0f\n", events_per_sec);
   std::printf("net / structural inserts   : %.3fx\n", net_vs_structural);
   std::printf("obs enabled / obs off      : %.3fx\n", obs_overhead);
-  std::printf("parallel t1 / sequential   : %.3fx\n",
-              parallel_t1_vs_sequential);
-  std::printf("parallel t2 / t1           : %.3fx\n", parallel_t2_vs_t1);
-  std::printf("parallel best / t1 scaling : %.3fx\n", parallel_scaling_best);
-  std::printf("windows/sec at t1          : %.0f\n", parallel_windows_per_sec);
-  std::printf("crew tasks per event       : %.3f\n", parallel_batch_fill_ratio);
   std::printf("make_ring ns/node, 2^14    : %.1f\n", ring_ns_2p14);
   std::printf("make_ring ns/node, 2^20    : %s\n", ring_2p20);
   std::printf("ring build reference / new : %.3fx\n", ring_speedup);
@@ -306,15 +225,9 @@ int main(int argc, char** argv) {
                 std::string(gn::to_string(cfg.latency.kind)).c_str(),
                 quick ? "true" : "false");
   json += cfg_buf;
-  char hwbuf[64];
-  std::snprintf(hwbuf, sizeof(hwbuf), "  \"hw_threads\": %zu,\n",
-                static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  json += hwbuf;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    // Parallel rows carry their worker count; engine rows have none.
-    gb::append_json(json, ms[i], "insert",
-                    /*with_threads=*/ms[i].threads != 0, i + 1 == ms.size());
+    gb::append_json(json, ms[i], "insert", i + 1 == ms.size());
   }
   json += "  ],\n";
   char tail[768];
@@ -323,19 +236,11 @@ int main(int argc, char** argv) {
                 "  \"inserts_per_sec\": %.1f,\n"
                 "  \"net_vs_structural\": %.4f,\n"
                 "  \"obs_overhead\": %.4f,\n"
-                "  \"parallel_t1_vs_sequential\": %.4f,\n"
-                "  \"parallel_t2_vs_t1\": %.4f,\n"
-                "  \"parallel_scaling_best\": %.4f,\n"
-                "  \"parallel_windows_per_sec\": %.1f,\n"
-                "  \"parallel_batch_fill_ratio\": %.4f,\n"
                 "  \"make_ring_ns_per_node_2p14\": %.1f,\n"
                 "  \"make_ring_ns_per_node_2p20\": %s,\n"
                 "  \"ring_build_speedup\": %.4f\n}\n",
                 events_per_sec, inserts_per_sec, net_vs_structural,
-                obs_overhead, parallel_t1_vs_sequential, parallel_t2_vs_t1,
-                parallel_scaling_best, parallel_windows_per_sec,
-                parallel_batch_fill_ratio, ring_ns_2p14, ring_2p20,
-                ring_speedup);
+                obs_overhead, ring_ns_2p14, ring_2p20, ring_speedup);
   json += tail;
 
   return gb::write_json_or_fail(out_path, json);

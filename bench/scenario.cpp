@@ -13,10 +13,9 @@
 // Matrix mode:
 //   scenario --matrix [--quick]
 // runs every (engine × space) cell at small sizes, checks that every
-// supported combination produces a full histogram, that unsupported
-// combinations are rejected with std::invalid_argument, and that the
-// batched/sharded engines reproduce the scalar histogram bit-for-bit
-// under a deterministic tie-break. Exits nonzero on any deviation —
+// combination produces a full histogram and that the batched engine
+// reproduces the scalar histogram bit-for-bit under a deterministic
+// tie-break. Exits nonzero on any deviation —
 // this is the CI gate for the dispatch table. --quick shrinks sizes to
 // CI-smoke scale (it is the mode CI runs in both compilers).
 //
@@ -49,8 +48,8 @@ constexpr gm::SpaceKind kAllSpaces[] = {
     gm::SpaceKind::kUniform,  gm::SpaceKind::kTorusNd,
     gm::SpaceKind::kWeighted, gm::SpaceKind::kChordNet,
 };
-constexpr gm::Engine kConcreteEngines[] = {
-    gm::Engine::kScalar, gm::Engine::kBatched, gm::Engine::kSharded};
+constexpr gm::Engine kConcreteEngines[] = {gm::Engine::kScalar,
+                                           gm::Engine::kBatched};
 
 int run_matrix(bool quick) {
   gm::Scenario base;
@@ -66,11 +65,11 @@ int run_matrix(bool quick) {
   for (const auto engine : kConcreteEngines) {
     std::printf(" %12s", std::string(gm::to_string(engine)).c_str());
   }
-  std::printf("   (mean max load; '-' = unsupported)\n");
+  std::printf("   (mean max load)\n");
 
   for (const auto space : kAllSpaces) {
     std::printf("%-10s", std::string(gm::to_string(space)).c_str());
-    // The deterministic tie-break makes supported engines bit-comparable
+    // The deterministic tie-break makes the engines bit-comparable
     // cell-to-cell, so the matrix checks semantics, not just liveness.
     gm::Scenario cell = base;
     cell.space = space;
@@ -78,22 +77,6 @@ int run_matrix(bool quick) {
     geochoice::stats::IntHistogram reference;
     for (const auto engine : kConcreteEngines) {
       cell.engine = engine;
-      if (!gm::engine_supports(engine, space)) {
-        bool rejected = false;
-        try {
-          (void)gm::run(cell);
-        } catch (const std::invalid_argument&) {
-          rejected = true;
-        }
-        if (!rejected) {
-          std::printf("\nFAIL: %s × %s should be rejected but ran\n",
-                      std::string(gm::to_string(engine)).c_str(),
-                      std::string(gm::to_string(space)).c_str());
-          ++failures;
-        }
-        std::printf(" %12s", "-");
-        continue;
-      }
       try {
         const auto report = gm::run(cell);
         if (report.max_load.total() != cell.trials) {
@@ -163,10 +146,10 @@ int run_bench_obs(const std::string& out_path, bool quick) {
   gb::Measurement off, on;
   for (std::size_t p = 0; p < std::size(ratios); ++p) {
     sc.obs = false;
-    off = gb::measure("Scenario/structural", 0, items, p == 0 ? warmup : 0,
+    off = gb::measure("Scenario/structural", items, p == 0 ? warmup : 0,
                       reps, run_once);
     sc.obs = true;
-    on = gb::measure("Scenario/structural+obs", 0, items, 0, reps, run_once);
+    on = gb::measure("Scenario/structural+obs", items, 0, reps, run_once);
     ratios[p] = on.items_per_sec / off.items_per_sec;
   }
   std::sort(std::begin(ratios), std::end(ratios));
@@ -193,8 +176,8 @@ int run_bench_obs(const std::string& out_path, bool quick) {
                 quick ? "true" : "false");
   json += buf;
   json += "  \"results\": [\n";
-  gb::append_json(json, off, "ball", /*with_threads=*/false, false);
-  gb::append_json(json, on, "ball", /*with_threads=*/false, true);
+  gb::append_json(json, off, "ball", false);
+  gb::append_json(json, on, "ball", true);
   json += "  ],\n";
   std::snprintf(buf, sizeof(buf), "  \"obs_overhead\": %.4f\n}\n",
                 obs_overhead);

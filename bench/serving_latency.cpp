@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     cfg.latency = p.latency;
 
     gs::ServingReport report;
-    const auto row = gb::measure(std::string("Serving/") + p.name, 0,
+    const auto row = gb::measure(std::string("Serving/") + p.name,
                                  requests, warmup, reps, [&] {
                                    report = gs::run_serving(cfg);
                                    if (report.misses != 0) std::abort();
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   gst::HashStore store;
   for (std::uint64_t k = 0; k < kStoreKeys; ++k) store.put_u64(k, k);
   while (store.migrating()) (void)store.get_u64(0);
-  ms.push_back(gb::measure("HashStore/mixed", 0, kStoreOps, warmup, reps, [&] {
+  ms.push_back(gb::measure("HashStore/mixed", kStoreOps, warmup, reps, [&] {
     gr::DefaultEngine gen(0x5374ULL);
     std::uint64_t sink = 0;
     for (std::uint64_t op = 0; op < kStoreOps; ++op) {
@@ -198,8 +198,7 @@ int main(int argc, char** argv) {
   json += hwbuf;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    gb::append_json(json, ms[i], "request", /*with_threads=*/false,
-                    i + 1 == ms.size());
+    gb::append_json(json, ms[i], "request", i + 1 == ms.size());
   }
   json += "  ],\n";
   json += "  \"policies\": [\n";

@@ -26,12 +26,6 @@ Usage:
 baseline.json schema:
   {"files": {"<results filename>": {"<metric>": {
       "min": <floor>, "reference": <dev-time value>,
-      "min_hw_threads": <optional: skip metric when results' hw_threads
-                         is below this — thread-scaling metrics are
-                         meaningless on starved runners>,
-      "skip_on_quick": <optional: skip metric when the results'
-                        config.quick flag is true — scaling floors need
-                        full-size problems; the CI smoke runs --quick>,
       "parent": <optional: the value the replaced algorithm measured;
                  --self-test asserts the floor rejects it>}}}}
 """
@@ -54,19 +48,7 @@ def margin_pct(value, floor):
 def check(results, gates, label, verbose=False):
     """Return a list of failure strings for one results dict."""
     failures = []
-    hw = results.get("hw_threads")
-    config = results.get("config")
-    quick = isinstance(config, dict) and bool(config.get("quick"))
     for metric, gate in gates.items():
-        need_hw = gate.get("min_hw_threads")
-        if need_hw is not None and hw is not None and hw < need_hw:
-            print(f"  SKIP {label}:{metric}: hw_threads={hw} < {need_hw} "
-                  "(thread-scaling metric needs real cores)")
-            continue
-        if gate.get("skip_on_quick") and quick:
-            print(f"  SKIP {label}:{metric}: quick-size results "
-                  "(floor applies to full-size runs only)")
-            continue
         value = results.get(metric)
         if value is None:
             failures.append(f"{label}: metric '{metric}' missing from results")
@@ -104,13 +86,11 @@ def self_test(baseline):
         # Results sitting exactly on every floor pass, and the "machine"
         # fingerprint the benches write is ignored, not gated.
         at_floor = {metric: gate["min"] for metric, gate in gates.items()}
-        at_floor["hw_threads"] = 10**6
         at_floor["machine"] = {"cpu_model": "self-test", "nproc": 1}
         if check(at_floor, gates, fname):
             print(f"self-test FAILED: {fname} rejects results at its floors")
             return 1
         fake = {metric: gate["min"] * 0.5 for metric, gate in gates.items()}
-        fake["hw_threads"] = 10**6  # never trigger the skip path
         failures = check(fake, gates, fname)
         expected = len(gates)
         if len(failures) != expected:
@@ -133,7 +113,7 @@ def self_test(baseline):
         for metric, gate in gates.items():
             if "parent" not in gate:
                 continue
-            old = {metric: gate["parent"], "hw_threads": 10**6}
+            old = {metric: gate["parent"]}
             if not check(old, {metric: gate}, fname):
                 print(f"self-test FAILED: {fname}:{metric} passes at the "
                       f"parent's {gate['parent']}")

@@ -56,10 +56,8 @@ struct LatencyModel {
   /// Lognormal only: hard lower clamp on every sampled delay (a power of
   /// two by default, so the clamp arithmetic is exact). The lognormal's
   /// support would otherwise reach arbitrarily close to zero, which is
-  /// both unphysical for a network link and fatal for conservative
-  /// parallel simulation — the lookahead window is min(), and a zero
-  /// min() collapses the window to nothing. Constant/uniform models have
-  /// an intrinsic minimum (a) and ignore this field.
+  /// unphysical for a network link. Constant/uniform models have an
+  /// intrinsic minimum (a) and ignore this field.
   double floor = kDefaultLognormalFloor;
 
   static constexpr double kDefaultLognormalFloor = 0.015625;  // 2^-6
@@ -81,67 +79,19 @@ struct LatencyModel {
     return {LatencyKind::kLognormal, mu, sigma, floor};
   }
 
-  /// Raw engine words one delay consumes: 0 (constant), 1 (uniform), or
-  /// 2 (lognormal's Box–Muller pair). Fixed per kind, which is what lets
-  /// the parallel DES pre-draw a block of words and transform them later
-  /// (or on another thread) while provably consuming the kNetLatency
-  /// substream in the identical order sample() would.
-  [[nodiscard]] int words_per_sample() const noexcept {
-    switch (kind) {
-      case LatencyKind::kConstant:
-        return 0;
-      case LatencyKind::kUniform:
-        return 1;
-      case LatencyKind::kLognormal:
-        return 2;
-    }
-    return 0;
-  }
-
-  /// The pure words -> delay transform: `words` must hold
-  /// words_per_sample() consecutive engine outputs, earliest first (may be
-  /// null for the constant model). Thread-safe; sample() is defined as
-  /// draw-then-transform, so a pre-drawn block is bit-identical by
-  /// construction.
-  [[nodiscard]] double sample_from_words(
-      const std::uint64_t* words) const noexcept {
-    switch (kind) {
-      case LatencyKind::kConstant:
-        return a;
-      case LatencyKind::kUniform:
-        return a + (b - a) * rng::u01_from_word(words[0]);
-      case LatencyKind::kLognormal:
-        return std::max(
-            floor, std::exp(a + b * rng::normal_from_words(words[0],
-                                                           words[1])));
-    }
-    return a;
-  }
-
   /// One link delay. Consumes engine draws even for the constant model only
   /// when needed (constant consumes none), keeping the draw count — and so
   /// the trace — stable under model-parameter changes but not model-kind
-  /// changes.
+  /// changes: 0 words (constant), 1 (uniform), 2 (lognormal's Box–Muller
+  /// pair).
   [[nodiscard]] double sample(rng::DefaultEngine& gen) const noexcept {
-    std::uint64_t words[2];
-    const int n = words_per_sample();
-    for (int i = 0; i < n; ++i) words[i] = gen();
-    return sample_from_words(words);
-  }
-
-  /// Smallest delay the model can produce — the lookahead of the
-  /// conservative parallel engine (parallel_simulator.hpp): a message sent
-  /// at time t is never due before t + min(), so windows of that length
-  /// can execute without cross-window hazards. Like mean(), never drawn
-  /// from in the simulation itself.
-  [[nodiscard]] double min() const noexcept {
     switch (kind) {
       case LatencyKind::kConstant:
         return a;
       case LatencyKind::kUniform:
-        return a;
+        return rng::uniform_real(gen, a, b);
       case LatencyKind::kLognormal:
-        return floor;
+        return std::max(floor, std::exp(a + b * rng::normal(gen)));
     }
     return a;
   }
@@ -175,8 +125,7 @@ struct LatencyModel {
         if (b < 0.0) throw std::invalid_argument("latency: negative sigma");
         if (!(floor > 0.0)) {
           throw std::invalid_argument(
-              "latency: lognormal needs a positive floor (the conservative "
-              "lookahead would otherwise be zero)");
+              "latency: lognormal needs a positive floor");
         }
         return;
     }

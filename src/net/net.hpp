@@ -5,13 +5,10 @@
 //   * message.hpp     — the typed wire protocol (probe/place/lookup)
 //   * chord_space.hpp — ChordRing as a GeometricSpace (successor arcs)
 //   * simulator.hpp   — message-level Chord routing + wire two-choice
-//   * parallel_simulator.hpp — conservative-window parallel engine,
-//                       bit-identical to the sequential simulator
 #pragma once
 
-#include "net/chord_space.hpp"         // IWYU pragma: export
-#include "net/event_queue.hpp"         // IWYU pragma: export
-#include "net/latency.hpp"             // IWYU pragma: export
-#include "net/message.hpp"             // IWYU pragma: export
-#include "net/parallel_simulator.hpp"  // IWYU pragma: export
-#include "net/simulator.hpp"           // IWYU pragma: export
+#include "net/chord_space.hpp"  // IWYU pragma: export
+#include "net/event_queue.hpp"  // IWYU pragma: export
+#include "net/latency.hpp"      // IWYU pragma: export
+#include "net/message.hpp"      // IWYU pragma: export
+#include "net/simulator.hpp"    // IWYU pragma: export

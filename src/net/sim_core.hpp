@@ -1,47 +1,25 @@
-// sim_core.hpp — the shared heart of the wire-level simulators.
+// sim_core.hpp — the state and protocol handlers of the wire-level
+// simulator.
 //
-// NetSimulator (simulator.hpp) and ParallelNetSimulator
-// (parallel_simulator.hpp) must produce bit-identical traces: same RNG
-// draw order, same handler side effects, same hash folds, same event
-// schedule. The only way to guarantee that under maintenance is for them
-// to *be* the same code, so everything except the drive loop and a few
-// well-fenced steps lives here in SimCore, a CRTP base both engines
-// derive from. The customization points (CRTP name hiding, defaults
-// below) are exactly the work that consumes no randomness and no mutable
-// op state and can therefore leave the sequencing thread:
-//   * forward_hop()    — advance a routed message one Chord hop (the hop
-//     counter and sender are already updated; the next-hop resolution is
-//     what the parallel engine defers to its crew);
-//   * deliver_probe()  / deliver_lookup() — build the owner's reply (the
-//     load snapshot stays at pop time; the field rewrite can move);
-//   * transport_send() — the per-send latency draw (the parallel engine
-//     consumes a pre-drawn block instead of the live substream).
+// SimCore holds everything NetSimulator (simulator.hpp) runs except its
+// drive loop: the configuration and metrics types, the in-flight op
+// pools, the per-purpose RNG streams, and one handler per message type.
 //
 // All message motion goes through the net::Transport seam
 // (transport.hpp): the handlers call SimTransport::send / deliver_local
 // and never touch the event queue directly — the queue is the drive
-// loops' surface. The protocol decisions themselves (reply construction,
+// loop's surface. The protocol decisions themselves (reply construction,
 // candidate selection) live in protocol.hpp, the kernels a real node
 // (node.hpp, served over UdpTransport) executes too; SimCore is "every
 // node in one process" — global per-purpose RNG streams, one load array —
 // which is what makes its trace a pure function of (seed, config).
 //
-//   * NetSimulator resolves the finger-table next_hop inline and sends —
-//     the classic sequential step.
-//   * ParallelNetSimulator sends the message with its `at` field still
-//     stale and defers the next_hop resolution to a per-shard mailbox
-//     drained by the worker crew at the window barrier. next_hop consumes
-//     no randomness and touches no mutable simulator state, which is
-//     exactly why it is the one piece of work that can leave the
-//     sequential instruction stream without perturbing the trace; the
-//     latency draw stays here, in global pop order.
-//
 // Determinism contract (details in simulator.hpp's header comment): the
 // queue breaks time ties by schedule order, handlers run in exact
-// (time, seq) pop order on the sequencing thread, and every draw comes
-// from a (seed, trial, purpose) substream — so a (seed, config) pair
-// fixes the entire event trace bit-for-bit regardless of engine, host
-// timing, or thread count.
+// (time, seq) pop order on one thread, and every draw comes from a
+// (seed, trial, purpose) substream — so a (seed, config) pair fixes the
+// entire event trace bit-for-bit regardless of host timing or thread
+// count.
 #pragma once
 
 #include <array>
@@ -192,11 +170,8 @@ inline SimTime queue_width_hint(const NetConfig& cfg) noexcept {
 
 }  // namespace detail
 
-/// Shared simulator state and handlers. Derived must provide
-/// `void forward_hop(SimTime now, Message& m, std::uint32_t from)` (see
-/// the header comment) and its own run() built from execute() /
-/// budget_left() / finish().
-template <typename Derived>
+/// Simulator state and handlers. The derived engine supplies run(), built
+/// from begin_run() / execute() / budget_left() / finish().
 class SimCore {
  public:
   /// Executed-event trace (empty unless cfg.collect_trace).
@@ -289,10 +264,6 @@ class SimCore {
     return protocol::store_value(key_id);
   }
 
-  [[nodiscard]] Derived& derived() noexcept {
-    return static_cast<Derived&>(*this);
-  }
-
   [[nodiscard]] std::uint32_t pick_client() {
     return static_cast<std::uint32_t>(
         rng::uniform_below(clients_, ring_->node_count()));
@@ -315,41 +286,14 @@ class SimCore {
     cfg_.trace->record(r);
   }
 
-  /// Schedule `m` across one link through the transport seam. Returns the
-  /// queue ticket so a deferring engine can fill the payload later; the
-  /// sequential engine ignores it. The transport step itself goes through
-  /// Derived::transport_send, so the parallel engine can substitute its
-  /// pre-drawn latency block for the on-demand substream draw.
-  MessageQueue::Ticket send_link(SimTime now, const Message& m) {
+  /// Schedule `m` across one link through the transport seam: one delay
+  /// drawn from the kNetLatency substream, in send order.
+  void send_link(SimTime now, const Message& m) {
     if (cfg_.trace != nullptr) trace_msg(now, obs::TracePhase::kScheduled, m);
-    return derived().transport_send(now, m);
+    transport_.send(now, m);
   }
 
-  /// Default transport step: sample one delay from the shared kNetLatency
-  /// substream and schedule — the sequential draw order. Overridable via
-  /// CRTP (name hiding), not virtual: the per-send cost is the hot path.
-  MessageQueue::Ticket transport_send(SimTime now, const Message& m) {
-    return transport_.send(now, m);
-  }
-
-  /// A probe has arrived at its candidate owner `m.at`: answer with the
-  /// owner's load *now* (the reply-time snapshot the staleness study is
-  /// about). The parallel engine overrides this to queue a reply stub and
-  /// finish its fields on the barrier crew — the load snapshot still
-  /// happens here, at pop time, because a same-window kPlace may bump
-  /// this owner's load right after.
-  void deliver_probe(SimTime now, const Message& m) {
-    send_link(now, protocol::make_probe_reply(m, loads_[m.at]));
-  }
-
-  /// A lookup has arrived at the key's owner: answer. Overridable like
-  /// deliver_probe (the reply is a pure field rewrite, so the whole
-  /// construction can leave the sequencer).
-  void deliver_lookup(SimTime now, const Message& m) {
-    send_link(now, protocol::make_lookup_reply(m));
-  }
-
-  /// The event schedule, for the engines' drive loops only.
+  /// The event schedule, for the drive loop only.
   [[nodiscard]] MessageQueue& queue() noexcept { return transport_.queue(); }
 
   void issue_insert(SimTime now) {
@@ -423,10 +367,9 @@ class SimCore {
     }
   }
 
-  /// Forward `m` one greedy hop toward `owner` unless it has arrived.
-  /// Returns true when m.at == owner; throws if routing exceeds n hops.
-  /// The hop itself goes through Derived::forward_hop — the one step the
-  /// engines implement differently.
+  /// Forward `m` one greedy finger-table hop toward `owner` unless it has
+  /// arrived. Returns true when m.at == owner; throws if routing exceeds
+  /// n hops.
   bool route_toward(SimTime now, Message& m, std::uint32_t owner) {
     const std::uint32_t here = m.at;
     if (here == owner) return true;
@@ -440,14 +383,17 @@ class SimCore {
     m.from = here;
     ++m.hops;
     if (cfg_.trace != nullptr) trace_msg(now, obs::TracePhase::kForwarded, m);
-    derived().forward_hop(now, m, here);
+    m.at = ring_->next_hop(here, m.key);
+    send_link(now, m);
     return false;
   }
 
+  /// A probe has arrived at its candidate owner: answer with the owner's
+  /// load *now* (the reply-time snapshot the staleness study is about).
   void on_probe(SimTime now, Message m) {
     if (!route_toward(now, m, m.dest)) return;
     if (cfg_.trace != nullptr) trace_msg(now, obs::TracePhase::kDelivered, m);
-    derived().deliver_probe(now, m);
+    send_link(now, protocol::make_probe_reply(m, loads_[m.at]));
   }
 
   void on_probe_reply(SimTime now, const Message& m) {
@@ -496,7 +442,7 @@ class SimCore {
   void on_lookup(SimTime now, Message m) {
     if (!route_toward(now, m, m.dest)) return;
     if (cfg_.trace != nullptr) trace_msg(now, obs::TracePhase::kDelivered, m);
-    derived().deliver_lookup(now, m);
+    send_link(now, protocol::make_lookup_reply(m));
   }
 
   void on_lookup_reply(SimTime now, const Message& m) {
@@ -515,11 +461,6 @@ class SimCore {
     ++metrics_.lookups;
     advance_phase(now);
   }
-
-  // The four store handlers run inline on the sequencing thread in both
-  // engines (direct messages: no routing to defer, no load snapshot to
-  // protect), so the store phase extends the golden trace without any new
-  // parallel-engine machinery.
 
   void on_put(SimTime now, const Message& m) {
     if (cfg_.trace != nullptr) trace_msg(now, obs::TracePhase::kDelivered, m);
@@ -602,9 +543,7 @@ class SimCore {
   }
 
   /// Execute one popped event: count it, fold the trace hash, record the
-  /// trace entry, dispatch the handler. Both engines' drive loops are
-  /// made of exactly this, so the per-event observable effects cannot
-  /// diverge.
+  /// trace entry, dispatch the handler.
   void execute(const MessageQueue::Event& e) {
     ++metrics_.events;
     metrics_.end_time = e.time;
@@ -634,10 +573,8 @@ class SimCore {
 
   /// Mark the run started (throws on reuse) and seed the first window of
   /// operations.
-  void begin_run(const char* engine) {
-    if (ran_) {
-      throw std::logic_error(std::string(engine) + "::run: single-shot");
-    }
+  void begin_run() {
+    if (ran_) throw std::logic_error("NetSimulator::run: single-shot");
     ran_ = true;
     advance_phase(0.0);
   }

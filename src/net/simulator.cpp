@@ -17,7 +17,7 @@ NetMetrics NetSimulator::simulate(const NetConfig& cfg) {
 }
 
 NetMetrics NetSimulator::run() {
-  begin_run("NetSimulator");
+  begin_run();
   while (!queue().empty() && budget_left()) {
     execute(queue().pop());
   }

@@ -31,10 +31,8 @@
 // (chord_space.hpp) — the validation hook tying the simulator back to the
 // paper's allocation model.
 //
-// All simulation state and handlers live in SimCore (sim_core.hpp), the
-// CRTP base this engine shares bit-for-bit with ParallelNetSimulator
-// (parallel_simulator.hpp); NetSimulator contributes only the sequential
-// drive loop and the inline next-hop resolution.
+// All simulation state and handlers live in SimCore (sim_core.hpp);
+// NetSimulator contributes the drive loop.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +41,11 @@
 
 namespace geochoice::net {
 
-class NetSimulator : public SimCore<NetSimulator> {
+class NetSimulator : public SimCore {
  public:
   /// `ring` must outlive the simulator and must have finger tables built.
   NetSimulator(const dht::ChordRing& ring, const NetConfig& cfg)
-      : SimCore<NetSimulator>(ring, cfg) {}
+      : SimCore(ring, cfg) {}
 
   /// Run the full simulation (inserts, then lookups) to completion.
   /// Single-shot: a simulator instance cannot be rerun.
@@ -59,16 +57,6 @@ class NetSimulator : public SimCore<NetSimulator> {
 
   /// make_ring + run in one call.
   [[nodiscard]] static NetMetrics simulate(const NetConfig& cfg);
-
- private:
-  friend class SimCore<NetSimulator>;
-
-  /// Sequential hop: resolve the next finger-table hop inline and put the
-  /// completed message on the wire.
-  void forward_hop(SimTime now, Message& m, std::uint32_t from) {
-    m.at = ring_->next_hop(from, m.key);
-    send_link(now, m);
-  }
 };
 
 }  // namespace geochoice::net

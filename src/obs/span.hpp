@@ -1,7 +1,7 @@
 // span.hpp — RAII timing scope feeding an obs::Timer.
 //
-//   static const obs::Timer t("parallel.barrier");
-//   { obs::Span span(t); crew.run(...); }   // records .calls and .ns
+//   static const obs::Timer t("store.resize");
+//   { obs::Span span(t); rehash(); }   // records .calls and .ns
 //
 // The clock is read only when the runtime toggle is on at construction,
 // so a disabled run pays one branch per scope and never touches

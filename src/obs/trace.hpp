@@ -11,8 +11,6 @@
 //   forwarded      routed one Chord hop toward the owner
 //   delivered      arrived at its destination handler
 //   retransmitted  a timeout fired and the message was sent again
-//   deferred-fill  the parallel engine's worker crew resolved the
-//                  next_hop of a scheduled message at the window barrier
 //
 // `--transport=sim` and `--transport=udp` emit the SAME schema: instant
 // events ("ph":"i") with ts in microseconds, tid = the node acting on
@@ -21,10 +19,8 @@
 // from both transports land on comparable scales.
 //
 // The recorder is intentionally NOT thread-safe: every engine that feeds
-// it is single-threaded where messages are observed (the DES sequencer,
-// the loopback cluster pump, a dht_node process). The parallel engine's
-// worker crew never touches the recorder — deferred fills are recorded
-// on the sequencer after the window barrier. The ring overwrites the
+// it is single-threaded where messages are observed (the DES drive loop,
+// the loopback cluster pump, a dht_node process). The ring overwrites the
 // oldest records when full and counts what it dropped.
 //
 // With GEOCHOICE_OBS=OFF, record() is an inline no-op (call sites fold
@@ -44,10 +40,9 @@ enum class TracePhase : std::uint8_t {
   kForwarded,
   kDelivered,
   kRetransmit,
-  kDeferredFill,
 };
 
-inline constexpr int kTracePhaseCount = 6;
+inline constexpr int kTracePhaseCount = 5;
 
 [[nodiscard]] constexpr const char* to_string(TracePhase p) noexcept {
   switch (p) {
@@ -56,7 +51,6 @@ inline constexpr int kTracePhaseCount = 6;
     case TracePhase::kForwarded:    return "forwarded";
     case TracePhase::kDelivered:    return "delivered";
     case TracePhase::kRetransmit:   return "retransmitted";
-    case TracePhase::kDeferredFill: return "deferred-fill";
   }
   return "?";
 }

@@ -22,19 +22,11 @@ concept Engine64 =
     std::uniform_random_bit_generator<G> &&
     std::same_as<typename G::result_type, std::uint64_t>;
 
-/// The word -> [0, 1) transform behind uniform01: 53 random bits of
-/// mantissa. Split out so callers that pre-draw raw engine words (the
-/// parallel DES's latency blocks, latency_block.hpp) provably apply the
-/// identical transform the on-demand draw applies.
-[[nodiscard]] constexpr double u01_from_word(std::uint64_t word) noexcept {
-  return static_cast<double>(word >> 11) * 0x1.0p-53;
-}
-
 /// Uniform double in [0, 1) with 53 random bits of mantissa. This is the
 /// canonical "hash to the unit circle / unit torus" primitive of the paper.
 template <Engine64 G>
 [[nodiscard]] double uniform01(G& gen) noexcept {
-  return u01_from_word(gen());
+  return static_cast<double>(gen() >> 11) * 0x1.0p-53;
 }
 
 /// Uniform double in [lo, hi).
@@ -127,26 +119,13 @@ template <Engine64 G>
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
 }
 
-/// The two-word -> standard normal transform behind normal(): Box–Muller,
-/// cosine branch. `w1` must be the earlier engine word. Like
-/// u01_from_word, the split lets pre-drawn word blocks reproduce the
-/// on-demand variate stream bit-for-bit.
-[[nodiscard]] inline double normal_from_words(std::uint64_t w1,
-                                              std::uint64_t w2) noexcept {
-  const double u1 = u01_from_word(w1);
-  const double u2 = u01_from_word(w2);
-  return std::sqrt(-2.0 * std::log1p(-u1)) *
-         std::cos(6.283185307179586476925286766559 * u2);
-}
-
-/// Standard normal via Box–Muller (cosine branch). Consumes exactly two
-/// engine words, in sequence (the evaluation order is pinned here — an
-/// argument-list call would leave it unspecified).
+/// Standard normal via Box–Muller (cosine branch).
 template <Engine64 G>
 [[nodiscard]] double normal(G& gen) noexcept {
-  const std::uint64_t w1 = gen();
-  const std::uint64_t w2 = gen();
-  return normal_from_words(w1, w2);
+  const double u1 = uniform01(gen);
+  const double u2 = uniform01(gen);
+  return std::sqrt(-2.0 * std::log1p(-u1)) *
+         std::cos(6.283185307179586476925286766559 * u2);
 }
 
 }  // namespace geochoice::rng

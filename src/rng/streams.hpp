@@ -47,16 +47,4 @@ enum class StreamPurpose : std::uint64_t {
   return DefaultEngine(trial_seed(master_seed, trial));
 }
 
-/// Split a running engine: consume exactly one draw of `gen` and expand it
-/// into an independent engine for `purpose`. The sharded engine uses this to
-/// move tie-break randomness out of the location stream — the location draws
-/// stay contiguous (so deterministic tie-breaks replay the scalar stream
-/// bit-for-bit) while kRandom ties get their own substream, making results
-/// independent of block, shard, and thread counts.
-[[nodiscard]] inline DefaultEngine derive_substream(
-    DefaultEngine& gen, StreamPurpose purpose) noexcept {
-  return DefaultEngine(
-      philox_hash(gen(), static_cast<std::uint64_t>(purpose)));
-}
-
 }  // namespace geochoice::rng

@@ -6,7 +6,7 @@
 // form. run_max_load_experiment() pins the historical semantics — the
 // scalar engine over the trial streams it has always used — so every
 // golden value stays bit-identical. New code should construct a
-// Scenario directly: it reaches all three engines and all six spaces.
+// Scenario directly: it reaches both engines and all six spaces.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "sim/net_experiment.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,8 +22,6 @@ NetScenarioConfig net_scenario_config(const Scenario& sc) {
   cfg.net.seed = sc.seed;
   cfg.trials = sc.trials;
   cfg.threads = sc.threads;
-  cfg.workers = sc.workers;
-  cfg.shards = sc.shards;
   return cfg;
 }
 
@@ -52,17 +51,22 @@ NetScenarioResult run_net_scenario(const NetScenarioConfig& cfg) {
   if (cfg.trials == 0) {
     throw std::invalid_argument("run_net_scenario: zero trials");
   }
+  struct TimedTrial {
+    net::NetMetrics metrics;
+    double seconds = 0.0;
+  };
   const auto per_trial = parallel::run_trials(
       cfg.trials, cfg.net.seed,
       [&cfg](std::uint64_t trial, rng::DefaultEngine& /*unused*/) {
         net::NetConfig c = cfg.net;
         c.trial = trial;
         c.trace = trial == 0 ? cfg.trace : nullptr;
-        if (cfg.workers > 0) {
-          return net::ParallelNetSimulator::simulate(
-              c, {cfg.workers, cfg.shards});
-        }
-        return net::NetSimulator::simulate(c);
+        const auto t0 = std::chrono::steady_clock::now();
+        TimedTrial timed{net::NetSimulator::simulate(c)};
+        timed.seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        return timed;
       },
       cfg.threads);
 
@@ -72,7 +76,9 @@ NetScenarioResult run_net_scenario(const NetScenarioConfig& cfg) {
   const auto by = [](const net::NetMetrics& m, net::MsgType t) {
     return m.links_by_type[static_cast<std::size_t>(t)];
   };
-  for (const auto& m : per_trial) {
+  out.trial_seconds.reserve(per_trial.size());
+  for (const auto& [m, seconds] : per_trial) {
+    out.trial_seconds.push_back(seconds);
     out.max_load.add(m.max_load);
     out.mean_lookup_hops += m.lookup_hops.mean() / t;
     out.lookup_hops_p50 += m.lookup_hops_q.value(0) / t;

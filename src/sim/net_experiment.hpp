@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "net/parallel_simulator.hpp"
 #include "net/simulator.hpp"
 #include "stats/histogram.hpp"
 
@@ -23,17 +22,6 @@ struct NetScenarioConfig {
   net::NetConfig net;
   std::uint64_t trials = 20;
   std::size_t threads = 0;  // 0 = hardware concurrency
-  /// In-trial engine parallelism: 0 runs the sequential NetSimulator
-  /// (the default — across-trial threading above already saturates a
-  /// machine when trials >> cores); >= 1 dispatches each trial on a
-  /// ParallelNetSimulator with this worker count. Results are
-  /// bit-identical either way (the engines share one trace), so this is
-  /// purely a wall-clock knob for few-trials/huge-n scenarios. Requires a
-  /// latency model with a positive minimum.
-  std::size_t workers = 0;
-  /// Ring shards for the parallel engine (0 = 4 per worker); ignored when
-  /// workers == 0.
-  std::uint32_t shards = 0;
   /// Optional message-lifecycle recorder (not owned, may be null). Only
   /// trial 0 records into it: trials run on a thread pool and the ring
   /// buffer is single-writer, so one representative trial is traced.
@@ -61,6 +49,9 @@ struct NetScenarioResult {
   double stale_fraction = 0.0;
   double mean_events = 0.0;
   double mean_end_time = 0.0;
+  /// Wall seconds of each trial's NetSimulator::simulate call (ring build
+  /// included), indexed by trial.
+  std::vector<double> trial_seconds;
 };
 
 /// Run the scenario's trials in parallel (deterministic in the seed).
@@ -71,7 +62,7 @@ struct RunReport;
 
 /// Bridge from the unified front door (scenario.hpp): the NetScenarioConfig
 /// a wire-model Scenario denotes — n/m/d/tie plus the net knobs (latency,
-/// window, lookups, workers, shards). sim::run dispatches through this, so
+/// window, lookups). sim::run dispatches through this, so
 /// `run(sc)` and `run_net_scenario(net_scenario_config(sc))` are the same
 /// run bit-for-bit.
 [[nodiscard]] NetScenarioConfig net_scenario_config(const Scenario& sc);

@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "core/batch_process.hpp"
-#include "core/sharded_process.hpp"
 #include "dht/chord.hpp"
 #include "net/chord_space.hpp"
 #include "net/cluster.hpp"
@@ -64,8 +64,6 @@ std::string_view to_string(Engine e) noexcept {
       return "scalar";
     case Engine::kBatched:
       return "batched";
-    case Engine::kSharded:
-      return "sharded";
     case Engine::kAuto:
       return "auto";
   }
@@ -75,7 +73,6 @@ std::string_view to_string(Engine e) noexcept {
 Engine engine_from_string(std::string_view name) {
   if (name == "scalar") return Engine::kScalar;
   if (name == "batched") return Engine::kBatched;
-  if (name == "sharded") return Engine::kSharded;
   if (name == "auto") return Engine::kAuto;
   throw std::invalid_argument("unknown engine: " + std::string(name));
 }
@@ -112,10 +109,12 @@ WireTransport wire_transport_from_string(std::string_view name) {
   throw std::invalid_argument("unknown wire transport: " + std::string(name));
 }
 
-bool engine_supports(Engine engine, SpaceKind space) noexcept {
-  if (engine != Engine::kSharded) return true;
-  return space == SpaceKind::kRing || space == SpaceKind::kTorus ||
-         space == SpaceKind::kUniform;
+Engine resolve_engine(const Scenario& sc) noexcept {
+  if (sc.engine != Engine::kAuto) return sc.engine;
+  const bool geometric_bulk =
+      sc.space == SpaceKind::kRing || sc.space == SpaceKind::kTorus;
+  if (geometric_bulk && sc.balls() >= 4096) return Engine::kBatched;
+  return Engine::kScalar;
 }
 
 namespace {
@@ -125,41 +124,6 @@ namespace {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
-
-}  // namespace
-
-Engine resolve_engine(const Scenario& sc) noexcept {
-  if (sc.engine != Engine::kAuto) return sc.engine;
-  const bool geometric_bulk =
-      sc.space == SpaceKind::kRing || sc.space == SpaceKind::kTorus;
-  if (!geometric_bulk) return Engine::kScalar;
-  const std::uint64_t m = sc.balls();
-  if (m >= (1ull << 22) && resolve_threads(sc.threads) >= 4) {
-    return Engine::kSharded;
-  }
-  if (m >= 4096) return Engine::kBatched;
-  return Engine::kScalar;
-}
-
-std::size_t resolve_wire_workers(const Scenario& sc) noexcept {
-  if (sc.model != ExecModel::kWire || sc.transport != WireTransport::kSim ||
-      sc.engine != Engine::kAuto || sc.workers != 0) {
-    return sc.workers;
-  }
-  // The parallel engine needs a positive lookahead; zero-minimum models
-  // stay on the sequential NetSimulator rather than failing validation.
-  if (!(sc.latency.min() > 0.0)) return 0;
-  const std::size_t hw = resolve_threads(sc.threads);
-  if (hw < 4) return 0;
-  const std::uint64_t trials = sc.trials == 0 ? 1 : sc.trials;
-  // Trial-level parallelism (run_net_scenario's pool) already fills the
-  // machine when trials are plentiful; in-trial crews would only fight it.
-  if (trials > hw / 2) return 0;
-  const std::size_t per_trial = hw / static_cast<std::size_t>(trials);
-  return per_trial < 8 ? per_trial : 8;
-}
-
-namespace {
 
 using Clock = std::chrono::steady_clock;
 
@@ -213,26 +177,12 @@ const net::ChordSuccessorSpace& space_of(const ChordNetBox& b) {
 template <typename S>
 std::uint32_t drive_engine(const S& space, Engine engine,
                            const core::ProcessOptions& opt,
-                           rng::DefaultEngine& balls,
-                           const Scenario& sc,
-                           parallel::ThreadPool* pool) {
+                           rng::DefaultEngine& balls) {
   switch (engine) {
     case Engine::kScalar:
       return core::run_process(space, opt, balls).max_load;
     case Engine::kBatched:
       return core::run_batch_process(space, opt, balls).max_load;
-    case Engine::kSharded:
-      if constexpr (core::ShardableSpace<S>) {
-        core::ShardedOptions sharded;
-        sharded.threads = sc.threads;
-        return core::run_sharded_process(space, opt, balls, sharded, pool)
-            .max_load;
-      } else {
-        // Unreachable: run() validates engine_supports() up front. Kept
-        // as a throw so a future dispatch-table gap fails loudly instead
-        // of instantiating run_sharded_process on a non-shardable space.
-        throw std::logic_error("sharded engine on non-shardable space");
-      }
     case Engine::kAuto:
       break;
   }
@@ -248,8 +198,7 @@ std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
                                           MakeSpace&& make_space) {
   const core::ProcessOptions opt = process_options(sc);
 
-  auto one_trial = [&](std::uint64_t trial,
-                       parallel::ThreadPool* pool) -> TrialOutcome {
+  auto one_trial = [&](std::uint64_t trial) -> TrialOutcome {
     auto servers = rng::make_stream(sc.seed, trial,
                                     rng::StreamPurpose::kServerPlacement);
     auto balls =
@@ -257,7 +206,7 @@ std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
     const auto t0 = Clock::now();
     const auto box = make_space(trial, servers);
     const std::uint32_t max_load =
-        drive_engine(space_of(box), engine, opt, balls, sc, pool);
+        drive_engine(space_of(box), engine, opt, balls);
     const auto t1 = Clock::now();
     if (obs::enabled()) {
       // Per-thread sinks: safe from the trial pool's worker threads.
@@ -269,20 +218,10 @@ std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
     return {max_load, std::chrono::duration<double>(t1 - t0).count()};
   };
 
-  if (engine == Engine::kSharded) {
-    // Few-huge-trials regime: trials run back-to-back, each spreading its
-    // resolve pass over one shared worker pool (run_sharded_trials's
-    // pattern). Results are still indexed by trial, so the report is
-    // identical in shape to the parallel-trials path.
-    parallel::ThreadPool pool(sc.threads);
-    std::vector<TrialOutcome> out(sc.trials);
-    for (std::uint64_t t = 0; t < sc.trials; ++t) out[t] = one_trial(t, &pool);
-    return out;
-  }
   return parallel::run_trials(
       sc.trials, sc.seed,
       [&](std::uint64_t trial, rng::DefaultEngine& /*unused*/) {
-        return one_trial(trial, nullptr);
+        return one_trial(trial);
       },
       sc.threads);
 }
@@ -301,9 +240,8 @@ std::vector<TrialOutcome> run_torus_nd(const Scenario& sc, Engine engine,
 }
 
 /// The space registry: kind -> factory, engine threaded through. Adding a
-/// space means adding a case here (and a capability row in
-/// engine_supports if it cannot shard) — nothing else in the harness or
-/// the binaries changes.
+/// space means adding a case here — nothing else in the harness or the
+/// binaries changes.
 std::vector<TrialOutcome> run_space(const Scenario& sc, Engine engine,
                                     std::uint64_t measure_samples) {
   switch (sc.space) {
@@ -358,17 +296,11 @@ std::vector<TrialOutcome> run_space(const Scenario& sc, Engine engine,
 /// All throws the worker threads could otherwise hit, surfaced on the
 /// calling thread with scenario-level messages (the pool does not
 /// propagate exceptions).
-void validate(const Scenario& sc, Engine engine) {
+void validate(const Scenario& sc) {
   if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
   if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
   if (sc.num_choices < 1) {
     throw std::invalid_argument("run: need at least one choice");
-  }
-  if (!engine_supports(engine, sc.space)) {
-    throw std::invalid_argument(
-        "run: the sharded engine needs a shard_of() partition "
-        "(ring/torus/uniform); space '" +
-        std::string(to_string(sc.space)) + "' has none");
   }
   if (sc.scheme == core::ChoiceScheme::kPartitioned &&
       sc.space != SpaceKind::kRing && sc.space != SpaceKind::kChordNet) {
@@ -386,8 +318,8 @@ void validate(const Scenario& sc, Engine engine) {
   }
 }
 
-/// Wire-model validation: the protocol routes on the Chord ring, draws
-/// independent candidates, and the real transport has no parallel engine.
+/// Wire-model validation: the protocol routes on the Chord ring and draws
+/// independent candidates.
 void validate_wire(const Scenario& sc) {
   if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
   if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
@@ -413,20 +345,18 @@ void validate_wire(const Scenario& sc) {
       throw std::invalid_argument("run: quantiles must lie in (0, 1)");
     }
   }
-  if (sc.transport == WireTransport::kUdp) {
-    if (sc.workers != 0 || sc.shards != 0) {
-      throw std::invalid_argument(
-          "run: workers/shards drive the parallel simulator; the UDP "
-          "cluster runs in real time and has neither");
-    }
-    return;
-  }
-  sc.latency.validate();
-  if (sc.workers > 0 && !(sc.latency.min() > 0.0)) {
-    throw std::invalid_argument(
-        "run: workers > 0 needs a latency model with a positive minimum "
-        "(the conservative engine's lookahead)");
-  }
+  if (sc.transport == WireTransport::kSim) sc.latency.validate();
+}
+
+/// Per-trial wall times -> the report's total and min/mean/max fields.
+void set_trial_seconds(RunReport& report, const std::vector<double>& secs) {
+  double sum = 0.0;
+  for (const double s : secs) sum += s;
+  const auto [lo, hi] = std::minmax_element(secs.begin(), secs.end());
+  report.total_seconds = sum;
+  report.trial_seconds_min = *lo;
+  report.trial_seconds_max = *hi;
+  report.trial_seconds_mean = sum / static_cast<double>(secs.size());
 }
 
 /// kUdp trials: each stands up a fresh loopback cluster. Sequential on
@@ -443,7 +373,8 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
   std::uint64_t ins_trials = 0, look_trials = 0;
   std::uint64_t inserts = 0, stale = 0;
   double sum_elapsed = 0.0;
-  double min_s = 0.0, max_s = 0.0, sum_s = 0.0;
+  std::vector<double> trial_seconds;
+  trial_seconds.reserve(sc.trials);
   for (std::uint64_t t = 0; t < sc.trials; ++t) {
     net::ClusterConfig cc;
     cc.nodes = static_cast<std::size_t>(sc.num_servers);
@@ -457,11 +388,8 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
     cc.driver.trace = t == 0 ? trace : nullptr;
     const auto t0 = Clock::now();
     const net::ClusterResult res = net::run_loopback_cluster(cc);
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    sum_s += secs;
-    if (t == 0 || secs < min_s) min_s = secs;
-    if (t == 0 || secs > max_s) max_s = secs;
+    trial_seconds.push_back(
+        std::chrono::duration<double>(Clock::now() - t0).count());
 
     report.max_load.add(res.report.max_load);
     w.datagrams += res.datagrams;
@@ -504,10 +432,7 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
         static_cast<double>(stale) / static_cast<double>(inserts);
   }
   w.mean_end_time = sum_elapsed / static_cast<double>(sc.trials);
-  report.total_seconds = sum_s;
-  report.trial_seconds_min = min_s;
-  report.trial_seconds_max = max_s;
-  report.trial_seconds_mean = sum_s / static_cast<double>(sc.trials);
+  set_trial_seconds(report, trial_seconds);
   if (obs::enabled()) {
     static const obs::Counter c_datagrams("cluster.datagrams");
     static const obs::Counter c_malformed("cluster.malformed");
@@ -559,12 +484,8 @@ void set_throughput(RunReport& report, const Scenario& sc,
   }
 }
 
-RunReport run_wire(const Scenario& sc_in) {
+RunReport run_wire(const Scenario& sc) {
   const RunStart start;
-  // Resolve the kAuto worker rule first so validation, execution and the
-  // echoed spec all see the same concrete count.
-  Scenario sc = sc_in;
-  sc.workers = resolve_wire_workers(sc_in);
   validate_wire(sc);
   RunReport report;
   report.spec = sc;
@@ -575,7 +496,7 @@ RunReport run_wire(const Scenario& sc_in) {
   report.spec.threads = resolve_threads(sc.threads);
   report.wire.present = true;
 
-  // One recorder serves both transports: the DES sequencer and the UDP
+  // One recorder serves both transports: the DES drive loop and the UDP
   // loopback pump are each single-threaded at the record sites, and only
   // trial 0 writes, so the ring never sees two writers.
   std::unique_ptr<obs::TraceRecorder> recorder;
@@ -584,12 +505,9 @@ RunReport run_wire(const Scenario& sc_in) {
   }
 
   if (sc.transport == WireTransport::kSim) {
-    const auto t0 = Clock::now();
     NetScenarioConfig ncfg = net_scenario_config(sc);
     ncfg.trace = recorder.get();
     const NetScenarioResult r = run_net_scenario(ncfg);
-    const double total =
-        std::chrono::duration<double>(Clock::now() - t0).count();
     report.max_load = r.max_load;
     WireMetrics& w = report.wire;
     w.mean_lookup_hops = r.mean_lookup_hops;
@@ -607,12 +525,7 @@ RunReport run_wire(const Scenario& sc_in) {
     w.stale_fraction = r.stale_fraction;
     w.mean_events = r.mean_events;
     w.mean_end_time = r.mean_end_time;
-    // run_net_scenario runs trials in parallel, so per-trial wall times
-    // are not separable; report the mean as the whole range.
-    report.total_seconds = total;
-    report.trial_seconds_mean = total / static_cast<double>(sc.trials);
-    report.trial_seconds_min = report.trial_seconds_mean;
-    report.trial_seconds_max = report.trial_seconds_mean;
+    set_trial_seconds(report, r.trial_seconds);
   } else {
     run_udp_trials(sc, report, recorder.get());
   }
@@ -629,7 +542,7 @@ RunReport run_wire(const Scenario& sc_in) {
 RunReport run_structural(const Scenario& sc) {
   const RunStart start;
   const Engine engine = resolve_engine(sc);
-  validate(sc, engine);
+  validate(sc);
   const std::uint64_t measure_samples =
       sc.measure_samples != 0 ? sc.measure_samples : 64 * sc.num_servers;
 
@@ -645,14 +558,11 @@ RunReport run_structural(const Scenario& sc) {
     report.spec.measure_samples = measure_samples;
   }
 
-  double min_s = 0.0, max_s = 0.0, sum_s = 0.0;
-  bool first = true;
+  std::vector<double> trial_seconds;
+  trial_seconds.reserve(outcomes.size());
   for (const TrialOutcome& o : outcomes) {
     report.max_load.add(o.max_load);
-    sum_s += o.seconds;
-    if (first || o.seconds < min_s) min_s = o.seconds;
-    if (first || o.seconds > max_s) max_s = o.seconds;
-    first = false;
+    trial_seconds.push_back(o.seconds);
   }
   // Exact percentiles: every per-trial max load is retained in the
   // histogram, so there is nothing to stream-estimate (the P² machinery
@@ -662,11 +572,7 @@ RunReport run_structural(const Scenario& sc) {
     report.quantile_values.push_back(
         static_cast<double>(report.max_load.quantile(q)));
   }
-  report.total_seconds = sum_s;
-  report.trial_seconds_min = min_s;
-  report.trial_seconds_max = max_s;
-  report.trial_seconds_mean =
-      sum_s / static_cast<double>(outcomes.size());
+  set_trial_seconds(report, trial_seconds);
   set_throughput(report, sc, start);
   return report;
 }
@@ -755,9 +661,6 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
   sc.window = static_cast<std::uint32_t>(
       args.get_u64("window", static_cast<std::uint64_t>(sc.window)));
   sc.lookups = args.get_u64("lookups", sc.lookups);
-  sc.workers = args.get_u64("workers", sc.workers);
-  sc.shards = static_cast<std::uint32_t>(
-      args.get_u64("shards", static_cast<std::uint64_t>(sc.shards)));
   if (args.has("obs")) sc.obs = true;
   sc.trace_out = args.get_string("trace-out", sc.trace_out);
   return sc;

@@ -3,8 +3,7 @@
 // A sim::Scenario declares a complete max-load experiment — which space,
 // which engine, n/m/d, tie-break, trials, seed, reporting knobs — and
 // sim::run(scenario) executes it and returns a RunReport. The same spec
-// reaches all three allocation engines (scalar / batched / sharded) and
-// all six spaces (ring, torus, n-d torus, uniform, weighted, Chord
+// reaches both allocation engines (scalar / batched) and all six spaces (ring, torus, n-d torus, uniform, weighted, Chord
 // successor ownership), so a new workload is a field value, not a new
 // binary with its own engine × space switch.
 //
@@ -14,14 +13,14 @@
 //     the historical run_max_load_experiment derivation, so the shim in
 //     experiment.hpp is bit-compatible with every pinned golden value.
 //   * For deterministic tie-breaks (kFirstChoice, kLowestIndex, the
-//     region strategies) all three engines consume the ball stream
+//     region strategies) both engines consume the ball stream
 //     identically, so RunReport::max_load is bit-identical across
 //     engines (pinned by tests/test_scenario.cpp's equivalence matrix).
 //     TieBreak::kRandom is equal in distribution across engines.
 //   * Results are invariant to thread count for every engine.
 //
-// Engine::kAuto picks by space capability, ball count, and available
-// threads (see resolve_engine); the chosen engine is echoed in
+// Engine::kAuto picks by space capability and ball count (see
+// resolve_engine); the chosen engine is echoed in
 // RunReport::spec, so a report is always reproducible by rerunning its
 // own resolved spec with an explicit engine.
 //
@@ -31,7 +30,7 @@
 // transport = kUdp, against a real in-process localhost UDP cluster —
 // reporting per-message hop/latency/staleness metrics next to the
 // max-load distribution. The net fields (latency, window, lookups,
-// workers, shards, transport) live in the spec, so RunReport::spec
+// transport) live in the spec, so RunReport::spec
 // reproduces net runs exactly like structural ones.
 #pragma once
 
@@ -61,8 +60,7 @@ enum class SpaceKind {
 enum class Engine {
   kScalar,   // core::run_process — the reference oracle
   kBatched,  // core::run_batch_process — sample/resolve/place blocks
-  kSharded,  // core::run_sharded_process — intra-trial parallelism
-  kAuto,     // pick by space capability + m + threads (resolve_engine)
+  kAuto,     // pick by space capability + m (resolve_engine)
 };
 
 /// How the experiment executes: structurally (the allocation engines walk
@@ -70,13 +68,13 @@ enum class Engine {
 /// placement is a routed message with latency, staleness, and loss —
 /// Section 4's deployed-DHT questions).
 enum class ExecModel {
-  kStructural,  // scalar / batched / sharded engines (the default)
+  kStructural,  // scalar / batched engines (the default)
   kWire,        // message-level Chord protocol runs
 };
 
 /// Which wire carries a kWire run's messages.
 enum class WireTransport {
-  kSim,  // deterministic event-queue simulation (NetSimulator family)
+  kSim,  // deterministic event-queue simulation (net::NetSimulator)
   kUdp,  // real datagrams: in-process localhost UDP cluster (net/cluster.hpp)
 };
 
@@ -133,15 +131,6 @@ struct Scenario {
   std::uint32_t window = 1;
   /// Measurement lookups issued after the inserts drain.
   std::uint64_t lookups = 0;
-  /// kSim: in-trial engine parallelism. 0 runs the sequential
-  /// NetSimulator; >= 1 dispatches each trial on a ParallelNetSimulator
-  /// with this worker count (bit-identical results; needs a latency model
-  /// with a positive minimum). Must be 0 for kUdp. With engine == kAuto,
-  /// a 0 is resolved by resolve_wire_workers before validation — the
-  /// wire-model analogue of the structural kAuto engine rule.
-  std::size_t workers = 0;
-  /// kSim: ring shards for the parallel engine (0 = 4 per worker).
-  std::uint32_t shards = 0;
 
   // ---- observability (any model) ----
 
@@ -222,8 +211,8 @@ struct RunReport {
   /// Registry snapshot (counters/gauges/histograms) taken at the end of
   /// the run; empty unless spec.obs (or a trace_out) turned the obs layer
   /// on. Every engine reports here: structural runs carry
-  /// scenario.trials/scenario.balls, sim-transport runs the net.* and
-  /// parallel.* counters, udp runs the cluster.* counters.
+  /// scenario.trials/scenario.balls, sim-transport runs the net.*
+  /// counters, udp runs the cluster.* counters.
   std::vector<obs::MetricValue> metrics;
 
   /// Wall-clock seconds of the whole run, start to finish.
@@ -234,8 +223,7 @@ struct RunReport {
   double cpu_seconds = 0.0;
   /// Per-trial wall timing (seconds), aggregated over trials. With
   /// parallel trial execution total_seconds is the sum of per-trial times
-  /// (busy seconds across workers), so it can exceed wall_seconds; a kSim
-  /// wire run, whose trials are not separable, reports its call time.
+  /// (busy seconds across workers), so it can exceed wall_seconds.
   double total_seconds = 0.0;
   double trial_seconds_min = 0.0;
   double trial_seconds_mean = 0.0;
@@ -248,42 +236,21 @@ struct RunReport {
   }
 };
 
-/// True when `engine` can drive `space`. kSharded needs a shard_of()
-/// partition hook (ring, torus, uniform); kScalar/kBatched run
-/// everything; kAuto is always valid (it only picks supported engines).
-[[nodiscard]] bool engine_supports(Engine engine, SpaceKind space) noexcept;
-
-/// The engine kAuto resolves to: kSharded for ring/torus when a single
-/// trial is huge (m >= 2^22) and >= 4 threads are available, kBatched
-/// for ring/torus at m >= 4096 (measured 6x / 1.7x scalar), kScalar
-/// otherwise (uniform has no owner lookup to batch; the remaining
-/// spaces have no bulk kernels). Depends on hardware_concurrency only
-/// through the kSharded rule when spec.threads == 0.
+/// The engine kAuto resolves to: kBatched for ring/torus at m >= 4096
+/// (measured 5x / 2.7x scalar), kScalar otherwise (uniform has no owner
+/// lookup to batch; the remaining spaces have no bulk kernels).
 [[nodiscard]] Engine resolve_engine(const Scenario& sc) noexcept;
 
-/// The worker count a kWire/kSim scenario with engine == kAuto and
-/// workers == 0 actually runs with — the wire-model analogue of
-/// resolve_engine. Trials already run in parallel, so in-trial workers
-/// only pay off when cores outnumber trials: 0 (sequential NetSimulator)
-/// unless the latency model has a positive minimum (the conservative
-/// lookahead), >= 4 hardware threads are available, and trials <= hw/2;
-/// otherwise hw/trials workers, capped at 8 (barrier costs grow with crew
-/// size faster than the parallel fraction). Explicit `workers`, a pinned
-/// engine, or a kUdp/structural spec pass through unchanged. Depends on
-/// hardware_concurrency only when sc.threads == 0.
-[[nodiscard]] std::size_t resolve_wire_workers(const Scenario& sc) noexcept;
-
-/// Execute the scenario: trials in parallel for scalar/batched (thread-
-/// count invariant), sequential trials with an intra-trial worker pool
-/// for sharded. Throws std::invalid_argument on unrunnable specs
-/// (zero trials/servers, d < 1, unsupported engine × space, partitioned
-/// sampling off the ring, bad dims/quantiles).
+/// Execute the scenario: trials run in parallel across threads (results
+/// are thread-count invariant). Throws std::invalid_argument on unrunnable
+/// specs (zero trials/servers, d < 1, partitioned sampling off the ring,
+/// bad dims/quantiles).
 [[nodiscard]] RunReport run(const Scenario& sc);
 
 /// Parse the shared scenario flags over `defaults`, so every binary
 /// exposes identical names and semantics:
 ///   --space=ring|torus|torus-nd|uniform|weighted|chord
-///   --engine=scalar|batched|sharded|auto
+///   --engine=scalar|batched|auto
 ///   --n=N (a comma list is accepted; the first entry seeds num_servers
 ///          and sweep binaries read the full list themselves)
 ///   --m=M  --d=D  --tie=random|first|smaller|larger|lowest-index
@@ -292,7 +259,7 @@ struct RunReport {
 /// and the wire-model flags:
 ///   --model=structural|wire  --transport=sim|udp
 ///   --latency=constant|uniform|lognormal  --lat-a=A  --lat-b=B
-///   --window=W  --lookups=L  --workers=K  --shards=S
+///   --window=W  --lookups=L
 /// and the observability flags:
 ///   --obs  (bare: report registry metrics)  --trace-out=FILE (implies
 ///   --obs; write trial 0's Chrome trace JSON, wire model only)

@@ -69,18 +69,6 @@ class RingSpace {
     return arcs_[i];
   }
 
-  /// Shard of a location when the circle is cut into `k` equal contiguous
-  /// arcs ~[s/k, (s+1)/k): the spatial partition the sharded engine routes
-  /// probes by. Monotone in `x`, so shards of a sorted-position ring are
-  /// contiguous bin ranges; anything slicing positions into shards must use
-  /// this same comparison (arithmetic s/k boundaries disagree by one ULP
-  /// for some (s, k)).
-  [[nodiscard]] static std::uint32_t shard_of(Location x,
-                                              std::uint32_t k) noexcept {
-    const auto s = static_cast<std::uint32_t>(x * static_cast<double>(k));
-    return s >= k ? k - 1 : s;  // guard the x -> 1.0 rounding edge
-  }
-
   [[nodiscard]] std::span<const double> positions() const noexcept {
     return positions_;
   }

@@ -50,14 +50,6 @@ class UniformSpace {
     return 1.0 / static_cast<double>(n_);
   }
 
-  /// Shard of a location when the bin index range is cut into `k`
-  /// contiguous slices: shard s owns bins [s*n/k, (s+1)*n/k).
-  [[nodiscard]] std::uint32_t shard_of(Location loc,
-                                       std::uint32_t k) const noexcept {
-    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(loc) * k /
-                                      n_);
-  }
-
  private:
   std::uint64_t n_;
 };

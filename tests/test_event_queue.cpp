@@ -214,81 +214,3 @@ TEST(CalendarQueue, SizeAndScheduledTrackTheHeap) {
   EXPECT_EQ(cal.size(), 1u);
   EXPECT_EQ(cal.scheduled(), 2u);  // pops don't consume sequence numbers
 }
-
-TEST(CalendarQueue, MinTimeMatchesHeapAndReportsNoEvent) {
-  gn::EventQueue<int> cal;
-  gn::HeapEventQueue<int> heap;
-  EXPECT_EQ(cal.min_time(), gn::kNoEvent);
-  EXPECT_EQ(heap.min_time(), gn::kNoEvent);
-  gr::DefaultEngine gen(6);
-  for (int i = 0; i < 512; ++i) {
-    const gn::SimTime t = gr::uniform01(gen) * 32.0;
-    cal.push(t, i);
-    heap.push(t, i);
-    ASSERT_EQ(cal.min_time(), heap.min_time()) << "push " << i;
-  }
-  while (!cal.empty()) {
-    const gn::SimTime expected = cal.min_time();
-    ASSERT_EQ(expected, heap.min_time());
-    ASSERT_EQ(expected, cal.pop().time);
-    (void)heap.pop();
-  }
-  EXPECT_EQ(cal.min_time(), gn::kNoEvent);
-}
-
-TEST(CalendarQueue, DrainUntilMatchesHeapWindowByWindow) {
-  // The conservative-window access pattern: drain everything strictly
-  // before a bound, advance the bound, repeat. Both queues must deliver
-  // identical (time, seq, payload) streams and identical per-window
-  // counts, with events landing exactly on a bound held for the *next*
-  // window (strict `<`).
-  gr::DefaultEngine gen(7);
-  gn::EventQueue<int> cal;
-  gn::HeapEventQueue<int> heap;
-  for (int i = 0; i < 4096; ++i) {
-    const gn::SimTime t = std::floor(gr::uniform01(gen) * 256.0) * 0.25;
-    cal.push(t, i);
-    heap.push(t, i);
-  }
-  const gn::SimTime lookahead = 1.0;
-  while (!cal.empty()) {
-    const gn::SimTime bound = cal.min_time() + lookahead;
-    ASSERT_EQ(bound, heap.min_time() + lookahead);
-    std::vector<Popped> cal_win, heap_win;
-    const auto nc = cal.drain_until(
-        bound, [&](auto e) { cal_win.push_back({e.time, e.seq, e.payload}); });
-    const auto nh = heap.drain_until(bound, [&](auto e) {
-      heap_win.push_back({e.time, e.seq, e.payload});
-    });
-    ASSERT_EQ(nc, nh);
-    ASSERT_GE(nc, 1u);  // the window-start event is always strictly inside
-    ASSERT_EQ(cal_win, heap_win);
-    for (const Popped& p : cal_win) ASSERT_LT(p.time, bound);
-  }
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(CalendarQueue, DrainUntilDeliversInWindowCascades) {
-  // fn schedules zero-delay follow-ups inside the open window (the DES
-  // operation-start pattern): drain_until must pick them up in the same
-  // pass, in (time, seq) order, on both queues.
-  gn::EventQueue<int> cal;
-  gn::HeapEventQueue<int> heap;
-  for (int i = 0; i < 8; ++i) {
-    cal.push(static_cast<gn::SimTime>(i) * 0.125, i);
-    heap.push(static_cast<gn::SimTime>(i) * 0.125, i);
-  }
-  std::vector<Popped> cal_out, heap_out;
-  int next_cal = 100, next_heap = 100;
-  (void)cal.drain_until(1.0, [&](auto e) {
-    cal_out.push_back({e.time, e.seq, e.payload});
-    if (e.payload < 100) cal.push(e.time, next_cal++);  // same-time cascade
-  });
-  (void)heap.drain_until(1.0, [&](auto e) {
-    heap_out.push_back({e.time, e.seq, e.payload});
-    if (e.payload < 100) heap.push(e.time, next_heap++);
-  });
-  ASSERT_EQ(cal_out, heap_out);
-  EXPECT_EQ(cal_out.size(), 16u);  // each seed event spawned one follow-up
-  EXPECT_TRUE(cal.empty());
-}

@@ -3,6 +3,7 @@
 // validation, and the zero-latency collapse onto core::run_process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -64,6 +65,43 @@ TEST(LatencyModel, LognormalIsPositive) {
   gr::DefaultEngine gen(3);
   const auto model = gn::LatencyModel::lognormal(0.0, 1.0);
   for (int i = 0; i < 1000; ++i) EXPECT_GT(model.sample(gen), 0.0);
+}
+
+TEST(LatencyModel, SampleConsumesFixedWordsPerKind) {
+  // Every delay is a fixed number of engine words pushed through one
+  // formula: 0 (constant), 1 (uniform), 2 in order (lognormal's Box–Muller
+  // pair, clamped at the floor). The golden trace hashes depend on this
+  // draw order, so it is spelled out here word by word.
+  const auto u01 = [](std::uint64_t w) {
+    return static_cast<double>(w >> 11) * 0x1.0p-53;
+  };
+  const gn::LatencyModel models[] = {
+      gn::LatencyModel::constant(2.0),
+      gn::LatencyModel::uniform(1.0, 3.0),
+      gn::LatencyModel::lognormal(0.0, 1.0, 0.5),
+  };
+  int clamped = 0;
+  for (std::size_t k = 0; k < 3; ++k) {
+    const auto& model = models[k];
+    auto gen = gr::make_stream(99, k, gr::StreamPurpose::kNetLatency);
+    auto words = gr::make_stream(99, k, gr::StreamPurpose::kNetLatency);
+    for (int i = 0; i < 256; ++i) {
+      double expected = model.a;
+      if (model.kind == gn::LatencyKind::kUniform) {
+        expected = model.a + (model.b - model.a) * u01(words());
+      } else if (model.kind == gn::LatencyKind::kLognormal) {
+        const double u1 = u01(words());
+        const double u2 = u01(words());
+        const double z = std::sqrt(-2.0 * std::log1p(-u1)) *
+                         std::cos(6.283185307179586476925286766559 * u2);
+        expected = std::max(model.floor, std::exp(model.a + model.b * z));
+        if (expected == model.floor) ++clamped;
+      }
+      ASSERT_EQ(model.sample(gen), expected) << "kind " << k << " draw " << i;
+    }
+    EXPECT_EQ(gen(), words()) << "kind " << k << ": engines diverged";
+  }
+  EXPECT_GT(clamped, 0);  // the floor actually bit
 }
 
 TEST(LatencyModel, Validation) {
@@ -270,30 +308,6 @@ TEST(NetSim, ScenarioIsThreadCountInvariant) {
   EXPECT_DOUBLE_EQ(a.lookup_latency_p99, b.lookup_latency_p99);
   EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
   EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
-}
-
-TEST(NetSim, ScenarioIsEngineInvariant) {
-  // workers > 0 swaps each trial onto the ParallelNetSimulator; the
-  // scenario-level aggregates must not move by a single bit.
-  gs::NetScenarioConfig cfg;
-  cfg.net = mixed_config();
-  cfg.net.nodes = 64;
-  cfg.net.keys = 128;
-  cfg.net.lookups = 64;
-  cfg.trials = 4;
-  cfg.threads = 1;
-  const auto a = gs::run_net_scenario(cfg);
-  cfg.workers = 2;
-  cfg.shards = 8;
-  const auto b = gs::run_net_scenario(cfg);
-  EXPECT_TRUE(a.max_load == b.max_load);
-  EXPECT_DOUBLE_EQ(a.mean_lookup_hops, b.mean_lookup_hops);
-  EXPECT_DOUBLE_EQ(a.insert_latency_p99, b.insert_latency_p99);
-  EXPECT_DOUBLE_EQ(a.lookup_latency_p99, b.lookup_latency_p99);
-  EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
-  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
-  EXPECT_DOUBLE_EQ(a.mean_events, b.mean_events);
-  EXPECT_DOUBLE_EQ(a.mean_end_time, b.mean_end_time);
 }
 
 TEST(NetSim, MessageConservation) {

@@ -1,7 +1,6 @@
 // Tests for the sim::Scenario front door: the engine-equivalence matrix
-// (scalar / batched / sharded bit-identical through the façade for
-// deterministic tie-breaks, across every applicable space), kAuto
-// resolution, validation of unsupported engine × space combinations,
+// (scalar / batched bit-identical through the façade for deterministic
+// tie-breaks, across every space), kAuto resolution, validation,
 // resolved-spec echo, and the CSV/JSON reporting helpers.
 #include <gtest/gtest.h>
 
@@ -50,7 +49,7 @@ gm::Scenario small_scenario(gm::SpaceKind space, gc::TieBreak tie,
 // The heart of the façade contract: for deterministic tie-breaks every
 // engine consumes the same trial streams, so the max-load histogram is
 // bit-identical engine-to-engine — across the full space matrix, not
-// just the pairwise pins in test_batch_process / test_sharded_process.
+// just the pairwise pins in test_batch_process.
 TEST(ScenarioMatrix, EnginesBitIdenticalForDeterministicTies) {
   for (const auto space : kAllSpaces) {
     for (const auto tie :
@@ -59,28 +58,22 @@ TEST(ScenarioMatrix, EnginesBitIdenticalForDeterministicTies) {
       const auto scalar =
           gm::run(small_scenario(space, tie, gm::Engine::kScalar));
       ASSERT_EQ(scalar.max_load.total(), 6u);
-      for (const auto engine : {gm::Engine::kBatched, gm::Engine::kSharded}) {
-        if (!gm::engine_supports(engine, space)) continue;
-        const auto other = gm::run(small_scenario(space, tie, engine));
-        EXPECT_EQ(scalar.max_load, other.max_load)
-            << "space=" << gm::to_string(space)
-            << " engine=" << gm::to_string(engine)
-            << " tie=" << gc::to_string(tie);
-      }
+      const auto batched =
+          gm::run(small_scenario(space, tie, gm::Engine::kBatched));
+      EXPECT_EQ(scalar.max_load, batched.max_load)
+          << "space=" << gm::to_string(space)
+          << " tie=" << gc::to_string(tie);
     }
   }
 }
 
 // kRandom is equal in distribution, not bit-equal (the batched engine
-// interleaves tie draws at block boundaries; the sharded engine splits
-// off a tie substream) — but every engine must still run every space,
-// produce one histogram entry per trial, and stay within the coarse
-// max-load band the theory fixes at this size.
+// interleaves tie draws at block boundaries) — but every engine must
+// still run every space, produce one histogram entry per trial, and stay
+// within the coarse max-load band the theory fixes at this size.
 TEST(ScenarioMatrix, AllEnginesRunAllSpacesWithRandomTies) {
   for (const auto space : kAllSpaces) {
-    for (const auto engine :
-         {gm::Engine::kScalar, gm::Engine::kBatched, gm::Engine::kSharded}) {
-      if (!gm::engine_supports(engine, space)) continue;
+    for (const auto engine : {gm::Engine::kScalar, gm::Engine::kBatched}) {
       const auto r = gm::run(small_scenario(space, gc::TieBreak::kRandom,
                                             engine));
       EXPECT_EQ(r.max_load.total(), 6u);
@@ -97,8 +90,7 @@ TEST(ScenarioMatrix, AllEnginesRunAllSpacesWithRandomTies) {
 }
 
 TEST(ScenarioMatrix, ThreadCountInvariance) {
-  for (const auto engine :
-       {gm::Engine::kScalar, gm::Engine::kBatched, gm::Engine::kSharded}) {
+  for (const auto engine : {gm::Engine::kScalar, gm::Engine::kBatched}) {
     auto sc = small_scenario(gm::SpaceKind::kRing, gc::TieBreak::kRandom,
                              engine);
     sc.threads = 1;
@@ -110,16 +102,6 @@ TEST(ScenarioMatrix, ThreadCountInvariance) {
 }
 
 // --------------------------------------------------------------- validation
-
-TEST(Scenario, ShardedOnNonShardableSpaceThrows) {
-  for (const auto space : {gm::SpaceKind::kTorusNd, gm::SpaceKind::kWeighted,
-                           gm::SpaceKind::kChordNet}) {
-    EXPECT_FALSE(gm::engine_supports(gm::Engine::kSharded, space));
-    EXPECT_THROW((void)gm::run(small_scenario(space, gc::TieBreak::kRandom,
-                                              gm::Engine::kSharded)),
-                 std::invalid_argument);
-  }
-}
 
 TEST(Scenario, RejectsUnrunnableSpecsUpFront) {
   auto sc = small_scenario(gm::SpaceKind::kRing, gc::TieBreak::kRandom,
@@ -170,16 +152,22 @@ TEST(Scenario, AutoResolutionRules) {
   sc.space = gm::SpaceKind::kRing;
   sc.num_servers = 256;  // m = n = 256 < 4096
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kScalar);
-  sc.num_balls = 1 << 14;
+  sc.num_balls = 4095;
+  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kScalar);
+  sc.num_balls = 4096;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
-  sc.num_balls = 1ull << 22;
-  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
-  sc.threads = 1;  // sharding needs cores
+  // A huge single trial stays batched at any thread count: trials, not
+  // balls, are what runs in parallel.
+  sc.num_balls = 1ull << 23;
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    sc.threads = threads;
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+  }
+  sc.space = gm::SpaceKind::kTorus;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
 
   // Uniform has no owner lookup to batch; the non-bulk spaces have no
   // kernels — scalar regardless of size.
-  sc.threads = 8;
   for (const auto space : {gm::SpaceKind::kUniform, gm::SpaceKind::kTorusNd,
                            gm::SpaceKind::kWeighted,
                            gm::SpaceKind::kChordNet}) {
@@ -309,13 +297,30 @@ TEST(Scenario, FromArgsKeepsDefaultsAndTakesListFront) {
   EXPECT_EQ(sc.engine, gm::Engine::kAuto);
 }
 
+// No engine answers to --engine=sharded, --workers or --shards: the first
+// throws, the other two are left unconsumed, so every binary's unused()
+// check rejects them.
+TEST(Scenario, FromArgsRejectsTheRemovedEngineFlags) {
+  {
+    const std::vector<const char*> argv = {"prog", "--engine=sharded"};
+    const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
+    EXPECT_THROW((void)gm::scenario_from_args(args), std::invalid_argument);
+  }
+  for (const char* flag : {"--workers=2", "--shards=4"}) {
+    const std::vector<const char*> argv = {"prog", "--model=wire", flag};
+    const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
+    (void)gm::scenario_from_args(args);
+    EXPECT_EQ(args.unused().size(), 1u) << flag;
+  }
+}
+
 TEST(Scenario, StringRoundTrips) {
   for (const auto space : kAllSpaces) {
     EXPECT_EQ(gm::space_kind_from_string(std::string(gm::to_string(space))),
               space);
   }
-  for (const auto engine : {gm::Engine::kScalar, gm::Engine::kBatched,
-                            gm::Engine::kSharded, gm::Engine::kAuto}) {
+  for (const auto engine :
+       {gm::Engine::kScalar, gm::Engine::kBatched, gm::Engine::kAuto}) {
     EXPECT_EQ(gm::engine_from_string(std::string(gm::to_string(engine))),
               engine);
   }
@@ -408,68 +413,21 @@ TEST(ScenarioWire, SpecReproducesTheRun) {
   EXPECT_NE(first.spec.engine, gm::Engine::kAuto);  // spec stays concrete
 }
 
-// The workers knob dispatches the conservative parallel engine per trial;
-// the engines share one trace, so the report is bit-identical.
-TEST(ScenarioWire, ParallelWorkersAreBitIdentical) {
+// Per-trial timing comes from each trial's own simulate call, as on the
+// structural path: the range is real and the parts add up to the total.
+TEST(ScenarioWire, SimTrialTimesArePerTrial) {
   auto sc = wire_scenario();
-  const auto sequential = gm::run(sc);
-  sc.workers = 2;
-  const auto parallel = gm::run(sc);
-  EXPECT_EQ(sequential.max_load, parallel.max_load);
-  EXPECT_DOUBLE_EQ(sequential.wire.stale_fraction,
-                   parallel.wire.stale_fraction);
-}
-
-// The wire-model kAuto rule, pinned host-independently the way
-// Scenario.AutoResolutionRules pins resolve_engine: sc.threads fixes the
-// core count the rule sees.
-TEST(ScenarioWire, AutoWorkersResolutionRules) {
-  auto sc = wire_scenario();
-  sc.engine = gm::Engine::kAuto;
-  sc.threads = 16;  // pin so the rule does not depend on this host
-  sc.trials = 4;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 4u);  // hw / trials
-  sc.trials = 2;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 8u);
-  sc.trials = 1;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 8u);  // 16/1, capped at 8
-  sc.trials = 12;  // trial-level parallelism already fills the machine
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.trials = 4;
-  sc.threads = 2;  // too few cores to beat the sequencer
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.threads = 16;
-  sc.latency = geochoice::net::LatencyModel::zero();  // no lookahead
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.latency = geochoice::net::LatencyModel::constant(1.0);
-
-  // Explicit workers, a pinned engine, kUdp and structural specs all pass
-  // through unchanged — the rule fires only on kWire/kSim/kAuto/0.
-  sc.workers = 3;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 3u);
-  sc.workers = 0;
-  sc.engine = gm::Engine::kScalar;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.engine = gm::Engine::kAuto;
-  sc.transport = gm::WireTransport::kUdp;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.transport = gm::WireTransport::kSim;
-  sc.model = gm::ExecModel::kStructural;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-}
-
-// run() applies the rule before validation and echoes the concrete count,
-// so rerunning the spec reproduces the run on any host.
-TEST(ScenarioWire, ReportEchoesResolvedWorkers) {
-  auto sc = wire_scenario();
-  sc.engine = gm::Engine::kAuto;
-  sc.threads = 16;
-  sc.trials = 2;
-  const auto report = gm::run(sc);
-  EXPECT_EQ(report.spec.workers, 8u);
-  EXPECT_NE(report.spec.engine, gm::Engine::kAuto);
-  const auto again = gm::run(report.spec);
-  EXPECT_EQ(report.max_load, again.max_load);
+  sc.num_servers = 256;
+  sc.num_balls = 4096;
+  sc.trials = 3;
+  sc.threads = 1;
+  const auto r = gm::run(sc);
+  EXPECT_GT(r.trial_seconds_min, 0.0);
+  EXPECT_LT(r.trial_seconds_min, r.trial_seconds_max);
+  EXPECT_LE(r.trial_seconds_min, r.trial_seconds_mean);
+  EXPECT_LE(r.trial_seconds_mean, r.trial_seconds_max);
+  EXPECT_DOUBLE_EQ(r.total_seconds, r.trial_seconds_mean * 3.0);
+  EXPECT_LE(r.total_seconds, r.wall_seconds);
 }
 
 TEST(ScenarioWire, ValidatesWireSpecs) {
@@ -493,26 +451,13 @@ TEST(ScenarioWire, ValidatesWireSpecs) {
     sc.window = 0;
     EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
   }
-  {
-    auto sc = wire_scenario();
-    sc.transport = gm::WireTransport::kUdp;
-    sc.workers = 2;  // the real cluster has no parallel engine
-    EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
-  }
-  {
-    auto sc = wire_scenario();
-    sc.workers = 2;
-    sc.latency = geochoice::net::LatencyModel::zero();  // no lookahead
-    EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
-  }
 }
 
 TEST(ScenarioWire, FromArgsParsesWireFlags) {
   const std::vector<const char*> argv = {
       "prog",           "--space=chord",       "--model=wire",
       "--transport=udp", "--latency=lognormal", "--lat-a=0.25",
-      "--lat-b=0.75",   "--window=16",         "--lookups=512",
-      "--workers=3",    "--shards=8"};
+      "--lat-b=0.75",   "--window=16",         "--lookups=512"};
   const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
   const auto sc = gm::scenario_from_args(args);
   EXPECT_EQ(sc.model, gm::ExecModel::kWire);
@@ -522,8 +467,7 @@ TEST(ScenarioWire, FromArgsParsesWireFlags) {
   EXPECT_DOUBLE_EQ(sc.latency.b, 0.75);
   EXPECT_EQ(sc.window, 16u);
   EXPECT_EQ(sc.lookups, 512u);
-  EXPECT_EQ(sc.workers, 3u);
-  EXPECT_EQ(sc.shards, 8u);
+  EXPECT_TRUE(args.unused().empty());
 
   for (const auto m : {gm::ExecModel::kStructural, gm::ExecModel::kWire}) {
     EXPECT_EQ(gm::exec_model_from_string(std::string(gm::to_string(m))), m);
