@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -281,6 +282,74 @@ TEST(NetSim, StoreWorkloadGoldenTraceHash) {
   EXPECT_EQ(m.get_misses, 0u);
   EXPECT_GT(m.get_latency.count(), 0u);
   EXPECT_EQ(m.trace_hash, 0xb5e9d7a646c23c91ULL);
+}
+
+namespace {
+
+/// FNV-1a fold of every NetMetrics field except trace_hash: counters,
+/// per-type link tallies, final loads, the placement map, the end time,
+/// and the exact bits of every running statistic and P² quantile. The
+/// trace hash folds message fields only, so this pin is what catches a
+/// tally (latency, hops, staleness) computed differently by the handlers.
+std::uint64_t metrics_fingerprint(const gn::NetMetrics& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t w) {
+    h ^= w;
+    h *= 0x100000001b3ULL;
+  };
+  const auto fold_double = [&](double x) {
+    fold(std::bit_cast<std::uint64_t>(x));
+  };
+  const auto fold_stats = [&](const geochoice::stats::RunningStats& s) {
+    fold(s.count());
+    fold_double(s.mean());
+    fold_double(s.variance());
+    fold_double(s.min());
+    fold_double(s.max());
+  };
+  const auto fold_quantiles = [&](const geochoice::stats::P2QuantileSet& q) {
+    fold(q.count());
+    for (std::size_t i = 0; i < q.size(); ++i) fold_double(q.value(i));
+  };
+  fold(m.events);
+  fold(m.links);
+  for (const std::uint64_t c : m.links_by_type) fold(c);
+  fold(m.probe_hops);
+  fold(m.stale_reads);
+  fold(m.inserts);
+  fold(m.lookups);
+  fold(m.puts);
+  fold(m.gets);
+  fold(m.get_misses);
+  fold(m.max_load);
+  fold(m.loads.size());
+  for (const std::uint32_t l : m.loads) fold(l);
+  fold(m.placements.size());
+  for (const std::uint32_t p : m.placements) fold(p);
+  fold_stats(m.lookup_hops);
+  fold_stats(m.insert_latency);
+  fold_stats(m.lookup_latency);
+  fold_stats(m.get_latency);
+  fold_quantiles(m.lookup_hops_q);
+  fold_quantiles(m.insert_latency_q);
+  fold_quantiles(m.lookup_latency_q);
+  fold_quantiles(m.get_latency_q);
+  fold_double(m.end_time);
+  return h;
+}
+
+}  // namespace
+
+TEST(NetSim, GoldenMetricsFingerprint) {
+  // Every NetMetrics field, pinned bit for bit for the two golden
+  // configs: the handlers' tallies must not drift even where the event
+  // trace (and so its hash) stays the same.
+  const auto mixed = gn::NetSimulator::simulate(mixed_config());
+  EXPECT_EQ(mixed.trace_hash, 0x59434247df5e10ecULL);
+  EXPECT_EQ(metrics_fingerprint(mixed), 0x782fc155dddfb9dcULL);
+  const auto store = gn::NetSimulator::simulate(store_config());
+  EXPECT_EQ(store.trace_hash, 0xb5e9d7a646c23c91ULL);
+  EXPECT_EQ(metrics_fingerprint(store), 0xbe6bd312ef11ea0dULL);
 }
 
 TEST(NetSim, StoreWorkloadRecordsPlacements) {
