@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     gm::TableRowBlock row;
     row.label = gm::pow2_label(n);
     for (const auto& v : variants) {
-      gm::ExperimentConfig cfg;
+      gm::Scenario cfg;
+      cfg.engine = gm::Engine::kScalar;
       cfg.space = gm::SpaceKind::kRing;
       cfg.num_servers = n;
       cfg.num_choices = d;
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
       cfg.trials = trials;
       cfg.seed = seed;
       cfg.threads = threads;
-      auto hist = gm::run_max_load_experiment(cfg);
+      auto hist = gm::run(cfg).max_load;
       if (csv) {
         for (const auto& [value, count] : hist.items()) {
           csv->row({std::to_string(n), v.name, std::to_string(value),

@@ -9,10 +9,14 @@ repo's own conventions (instant events in the "net" cat with node-id tids),
 so a formatting slip in obs/trace.cpp's hand-rolled printer fails the build
 before it corrupts anyone's trace.
 
-Usage: check_trace.py TRACE_JSON [MIN_EVENTS]
+Usage: check_trace.py TRACE_JSON [MIN_EVENTS [NAME ...]]
   MIN_EVENTS (default 1): fail if fewer events were recorded — the smoke
   scenarios know roughly how many messages they generate, so an empty or
   truncated trace is caught even though it parses.
+  NAME ...: event names ("<message> <phase>", e.g. "place scheduled") that
+  must each appear at least once. CI passes the same list for the
+  simulated and the UDP trace, so both transports are held to one
+  lifecycle vocabulary.
 
 Exit 0 when valid; nonzero with a per-violation message otherwise.
 """
@@ -56,11 +60,12 @@ def check_event(i, ev):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
+    if len(argv) < 2:
         print(__doc__)
         return 2
     path = argv[1]
-    min_events = int(argv[2]) if len(argv) == 3 else 1
+    min_events = int(argv[2]) if len(argv) >= 3 else 1
+    required = argv[3:]
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -89,6 +94,10 @@ def main(argv):
 
     dropped = doc.get("geochoiceDroppedRecords", 0)
     names = {ev["name"] for ev in events}
+    missing = [n for n in required if n not in names]
+    if missing:
+        return fail(f"{path}: no event named {', '.join(map(repr, missing))}"
+                    f" (present: {', '.join(sorted(names))})")
     print(f"check_trace: ok: {path}: {len(events)} events, "
           f"{len(names)} distinct names, {dropped} dropped records")
     return 0

@@ -73,6 +73,10 @@ enum class MsgType : std::uint8_t {
 
 inline constexpr int kMsgTypeCount = 10;
 
+/// Largest d a client may probe: the width of its per-op candidate arrays
+/// and of the probe-reply bitmask.
+inline constexpr int kMaxChoices = 16;
+
 struct Message {
   MsgType type = MsgType::kProbe;
   /// Node currently holding the message (the event's recipient).

@@ -1,46 +1,50 @@
-// node.hpp — one node's protocol logic, written against the Transport
-// seam.
+// node.hpp — the protocol, written once against the Transport seam.
 //
-// SimCore (sim_core.hpp) is "every node in one process": global load
-// array, global RNG streams, a drive loop that owns time. This file is
-// the other world — the logic one *real* process runs, split along the
-// protocol's natural client/server line:
+// This file is the only implementation of the Chord + two-choice wire
+// protocol. It is split along the protocol's client/server line:
 //
-//   * NodeLogic: the server half. Routes probes/lookups one Chord hop
-//     (the same ring.next_hop the simulators call), answers the ones it
-//     owns, applies placements, and serves values from its HashStore
-//     (kPut writes are idempotent overwrites, so retransmits need no
-//     dedup; kGet answers from local state only). Beyond the store, it
-//     is deliberately state-light: probes read the load, placements bump
-//     it, and the only other memory is the at-most-once dedup set that
-//     makes placement retransmits safe.
+//   * NodeLogic: the server half, one instance per node. Routes
+//     probes/lookups one Chord hop, answers the ones it owns, applies
+//     placements, and serves values from its HashStore (kPut writes are
+//     idempotent overwrites, so retransmits need no dedup; kGet answers
+//     from local state only). It is deliberately state-light: probes read
+//     the load, placements bump it, the store is built on the first kPut,
+//     and over a transport that can deliver a datagram twice it keeps the
+//     at-most-once memory that makes placement retransmits safe.
 //   * ClientDriver: the client half. Issues the two-choice insertion
-//     workload (and measurement lookups), collects replies, picks
-//     candidates with protocol::pick_best_candidate — the *same kernel*
-//     the simulator runs, fed from the same kBallChoices substream —
-//     and arms retransmit timers because real datagrams get lost.
+//     workload (then measurement lookups and the store phases), collects
+//     replies, picks candidates with protocol::pick_best_candidate fed
+//     from the kBallChoices substream, and arms retransmit timers because
+//     real datagrams get lost.
 //
-// Determinism contract with the simulator (the differential oracle):
-// with window = 1 and a deterministic tie-break, a placement depends
-// only on the candidate-key stream and the serial load evolution —
-// never on message timing, routing paths, or client identity. Both
-// worlds draw candidates from make_stream(seed, trial, kBallChoices)
-// and build the same ring, so the cluster's placement sequence must be
-// bit-identical to NetSimulator's — duplicated, delayed, or reordered
-// datagrams included. That claim is what tests/test_udp_cluster.cpp
-// checks.
+// Both halves are templates over the transport (transport.hpp), and two
+// worlds instantiate them:
 //
-// Both halves are templates over the transport so the logic itself
-// cannot know which world it is in; UdpTransport is the one real
-// instantiation today.
+//   * NetSimulator (simulator.hpp) hosts one NodeLogic per ring node and
+//     one ClientDriver over a shared SimTransport: the deterministic DES,
+//     where each op's client is a uniform draw from the kWorkload
+//     substream, latencies are simulated time, and loads are read from
+//     the node objects when the workload completes;
+//   * a UdpTransport per node (cluster.hpp, the dht_node binary): the
+//     real network, where the driver issues from its own node, measures
+//     microseconds, and reads loads back with census probes.
+//
+// The few places the worlds differ ask kSimulated<Transport>; everything
+// else — every handler, every message — is shared. So with window = 1
+// and a deterministic tie-break, the cluster's placement sequence is
+// bit-identical to NetSimulator's (a placement depends only on the
+// candidate stream and the serial load evolution), duplicated, delayed or
+// reordered datagrams included. tests/test_udp_cluster.cpp checks it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -49,7 +53,7 @@
 #include "dht/chord.hpp"
 #include "net/message.hpp"
 #include "net/protocol.hpp"
-#include "net/sim_core.hpp"
+#include "net/transport.hpp"
 #include "obs/trace.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/streams.hpp"
@@ -59,54 +63,84 @@
 
 namespace geochoice::net {
 
-/// The server half: route or serve. One instance per node process (plus
-/// one co-located with the driver for node 0).
+/// Where a node runs: the ring it routes on, the transport it sends
+/// through, the recorder it traces into (may be null), and its own id.
+template <typename Transport>
+struct NodeSite {
+  const dht::ChordRing* ring = nullptr;
+  Transport* transport = nullptr;
+  obs::TraceRecorder* trace = nullptr;
+  std::uint32_t self = 0;
+};
+
+/// The server half: route or serve. One instance per node.
+///
+/// A node on a real transport owns its site and takes requests through
+/// on_message. In the DES, NetSimulator keeps every node on one shared
+/// site and passes it to serve with each request, so a simulated node is
+/// nothing but its state: 16 bytes until a store phase builds its
+/// HashStore, and untouched by the messages it merely forwards.
 template <typename Transport>
 class NodeLogic {
  public:
-  /// `ring` must have finger tables built; every process derives the
+  using Site = NodeSite<Transport>;
+
+  /// `ring` must have finger tables built; every node derives the
   /// identical ring from the shared (seed, trial). `trace` (optional, not
-  /// owned) records forwarded/delivered lifecycle events — the same
-  /// schema SimCore emits, so sim and UDP traces line up in Perfetto.
+  /// owned) records forwarded/delivered lifecycle events.
   NodeLogic(const dht::ChordRing& ring, std::uint32_t self,
             Transport& transport, obs::TraceRecorder* trace = nullptr)
-      : ring_(&ring), self_(self), transport_(&transport), trace_(trace) {}
+    requires(!kSimulated<Transport>)
+      : site_{&ring, &transport, trace, self} {}
 
-  /// Handle one request datagram (kProbe / kPlace / kLookup / kPut /
-  /// kGet). Reply types are the client's business — route them to a
+  /// A DES node: NetSimulator passes the shared site to serve.
+  NodeLogic() requires kSimulated<Transport> = default;
+
+  /// Handle one request at this node's own site.
+  void on_message(const Message& msg) requires(!kSimulated<Transport>) {
+    serve(site_, msg);
+  }
+
+  /// Handle one request (kProbe / kPlace / kLookup / kPut / kGet) as node
+  /// site.self. Replies are the client's business — route them to a
   /// ClientDriver.
-  void on_message(const Message& msg) {
+  void serve(const Site& site, const Message& msg) {
     switch (msg.type) {
       case MsgType::kProbe: {
         Message m = msg;
-        if (!route(m)) return;
-        trace_event(obs::TracePhase::kDelivered, m);
-        transport_->send(protocol::make_probe_reply(m, load_));
+        if (!route(site, m)) return;
+        trace_event(site, obs::TracePhase::kDelivered, m);
+        site.transport->send(protocol::make_probe_reply(m, load_));
         return;
       }
       case MsgType::kPlace:
-        on_place(msg);
+        on_place(site, msg);
         return;
       case MsgType::kLookup: {
         Message m = msg;
-        if (!route(m)) return;
-        trace_event(obs::TracePhase::kDelivered, m);
-        transport_->send(protocol::make_lookup_reply(m));
+        if (!route(site, m)) return;
+        trace_event(site, obs::TracePhase::kDelivered, m);
+        site.transport->send(protocol::make_lookup_reply(m));
         return;
       }
       case MsgType::kPut: {
         // Direct message (the client knows our address from the placement
         // phase): store and ack. Overwrite semantics make a retransmitted
         // put — its first ack lost — naturally at-most-once.
-        trace_event(obs::TracePhase::kDelivered, msg);
-        store_.put_u64(msg.op, msg.value);
-        transport_->send(protocol::make_put_ack(msg));
+        trace_event(site, obs::TracePhase::kDelivered, msg);
+        if (!store_) {
+          store_ = std::make_unique<store::HashStore>(
+              store::HashStore::kNeighborhood);
+        }
+        store_->put_u64(msg.op, msg.value);
+        site.transport->send(protocol::make_put_ack(msg));
         return;
       }
       case MsgType::kGet: {
-        trace_event(obs::TracePhase::kDelivered, msg);
-        const auto v = store_.get_u64(msg.value);
-        transport_->send(
+        trace_event(site, obs::TracePhase::kDelivered, msg);
+        const auto v = store_ ? store_->get_u64(msg.value)
+                              : std::optional<std::uint64_t>{};
+        site.transport->send(
             protocol::make_get_reply(msg, v.has_value(), v.value_or(0)));
         return;
       }
@@ -116,64 +150,61 @@ class NodeLogic {
   }
 
   [[nodiscard]] std::uint32_t load() const noexcept { return load_; }
+  /// Placements that arrived carrying a load other than this node's
+  /// current one: two-choice acting on stale information.
   [[nodiscard]] std::uint64_t stale_reads() const noexcept { return stale_; }
   /// Distinct keys with a stored value (== the store's live key count).
   [[nodiscard]] std::uint64_t keys_stored() const noexcept {
-    return store_.size();
+    return store_ ? store_->size() : 0;
   }
 
  private:
   /// Forward one greedy Chord hop unless the message has arrived
-  /// (m.dest == self). The hop-count guard mirrors SimCore::route_toward:
-  /// a routing cycle must fail loudly, not ricochet datagrams forever.
-  bool route(Message& m) {
-    if (m.dest == self_) return true;
-    if (m.hops >= ring_->node_count()) {
+  /// (m.dest == self). Greedy routing strictly advances toward the key,
+  /// so more than n forwards means the finger logic is broken: fail
+  /// loudly instead of ricocheting messages forever.
+  static bool route(const Site& site, Message& m) {
+    if (m.dest == site.self) return true;
+    if (m.hops >= site.ring->node_count()) {
       throw std::logic_error("NodeLogic: routing exceeded n hops (cycle?)");
     }
-    m.from = self_;
+    m.from = site.self;
     ++m.hops;
-    m.at = ring_->next_hop(self_, m.key);
-    trace_event(obs::TracePhase::kForwarded, m);
-    transport_->send(m);
+    m.at = site.ring->next_hop(site.self, m.key);
+    trace_event(site, obs::TracePhase::kForwarded, m);
+    site.transport->send(m);
     return false;
   }
 
-  void trace_event(obs::TracePhase phase, const Message& m) {
-    if (trace_ == nullptr) return;
+  static void trace_event(const Site& site, obs::TracePhase phase,
+                          const Message& m) {
+    if (site.trace == nullptr) return;
     obs::TraceRecord r;
-    r.ts_us = static_cast<double>(transport_->now_us());
+    r.ts_us = static_cast<double>(site.transport->now_us());
     r.op = m.op;
-    r.node = self_;
+    r.node = site.self;
     r.from = m.from;
     r.client = m.client;
     r.hops = m.hops;
     r.load = m.load;
     r.phase = phase;
     r.msg_type = static_cast<std::uint8_t>(m.type);
-    trace_->record(r);
+    site.trace->record(r);
   }
 
-  void on_place(const Message& m) {
-    trace_event(obs::TracePhase::kDelivered, m);
-    // At-most-once: a retransmitted kPlace (its ack was lost) must not
-    // count the key twice — resend the ack and change nothing.
-    const std::uint64_t key = op_key(m.client, m.op);
-    if (placed_.contains(key)) {
-      transport_->send(protocol::make_place_ack(m));
-      return;
-    }
-    placed_.insert(key);
-    placed_fifo_.push_back(key);
-    // Bound the dedup memory: anything old enough to be evicted is long
-    // past its client's retransmit horizon.
-    while (placed_fifo_.size() > kPlacedMemory) {
-      placed_.erase(placed_fifo_.front());
-      placed_fifo_.pop_front();
+  void on_place(const Site& site, const Message& m) {
+    trace_event(site, obs::TracePhase::kDelivered, m);
+    if constexpr (!kSimulated<Transport>) {
+      // At-most-once: a retransmitted kPlace (its ack was lost) must not
+      // count the key twice — resend the ack and change nothing.
+      if (!placed_.first_time(op_key(m.client, m.op))) {
+        site.transport->send(protocol::make_place_ack(m));
+        return;
+      }
     }
     if (load_ != m.load) ++stale_;
     ++load_;
-    transport_->send(protocol::make_place_ack(m));
+    site.transport->send(protocol::make_place_ack(m));
   }
 
   [[nodiscard]] static std::uint64_t op_key(std::uint32_t client,
@@ -183,31 +214,54 @@ class NodeLogic {
     return (static_cast<std::uint64_t>(client) << 40) ^ op;
   }
 
-  static constexpr std::size_t kPlacedMemory = 4096;
+  /// The placements this node applied recently, bounded: anything old
+  /// enough to be evicted is long past its client's retransmit horizon.
+  struct PlacedMemory {
+    static constexpr std::size_t kCapacity = 4096;
+    std::unordered_set<std::uint64_t> keys;
+    std::deque<std::uint64_t> fifo;
 
-  const dht::ChordRing* ring_;
-  std::uint32_t self_;
-  Transport* transport_;
-  obs::TraceRecorder* trace_ = nullptr;
+    /// Remember `key`; false if it was already remembered.
+    bool first_time(std::uint64_t key) {
+      if (!keys.insert(key).second) return false;
+      fifo.push_back(key);
+      while (fifo.size() > kCapacity) {
+        keys.erase(fifo.front());
+        fifo.pop_front();
+      }
+      return true;
+    }
+  };
+  /// What only a simulated node leaves out: its own site (the simulator
+  /// passes the shared one) and the at-most-once memory (a simulated
+  /// transport delivers exactly once).
+  template <typename Real>
+  struct Nothing {};
+  template <typename Real>
+  using RealOnly =
+      std::conditional_t<kSimulated<Transport>, Nothing<Real>, Real>;
+
+  /// The node's value store, built on the first kPut.
+  std::unique_ptr<store::HashStore> store_;
   std::uint32_t load_ = 0;
-  std::uint64_t stale_ = 0;
-  std::unordered_set<std::uint64_t> placed_;
-  std::deque<std::uint64_t> placed_fifo_;
-  /// The node's value store; starts at the minimum capacity and grows
-  /// incrementally with its keyset.
-  store::HashStore store_{store::HashStore::kNeighborhood};
+  std::uint32_t stale_ = 0;
+  [[no_unique_address]] RealOnly<Site> site_;
+  [[no_unique_address]] RealOnly<PlacedMemory> placed_;
 };
 
-/// What a finished cluster run hands back — the same quantities
-/// NetMetrics reports, measured on the wire.
+/// What a finished run hands back. NetSimulator builds NetMetrics from it;
+/// a cluster run reports it as measured on the wire.
 struct DriverReport {
   /// Owner node of insert op i — the differential-test surface.
   std::vector<std::uint32_t> placements;
-  /// Final load per node, read back by census probes after the workload.
+  /// Final load per node, read back by census probes after the workload
+  /// (real transports only; the DES reads its node objects).
   std::vector<std::uint32_t> loads;
   std::uint32_t max_load = 0;
   std::uint64_t inserts = 0;
   std::uint64_t lookups = 0;
+  /// Forwarding hops the insert probes took, summed over every candidate.
+  std::uint64_t probe_hops = 0;
   /// Workload datagrams resent after a retransmit alarm (probe, place,
   /// lookup phases): actual suspected loss on the data path.
   std::uint64_t data_retransmits = 0;
@@ -218,12 +272,21 @@ struct DriverReport {
   [[nodiscard]] std::uint64_t total_retransmits() const noexcept {
     return data_retransmits + census_retries;
   }
+  /// Replies dropped without effect: duplicates of an answer already
+  /// taken, stragglers for a finished op, or ones matching no op. Normal
+  /// after retransmits over UDP; a simulated run must keep it at zero.
+  std::uint64_t ignored_replies = 0;
   /// Store phase: value writes acknowledged, reads answered, and reads
   /// the owner missed (zero on any transport that delivers eventually —
   /// every get targets a key its put already stored).
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t get_misses = 0;
+  /// Chord path length per lookup (protocol::route_hops_of).
+  stats::RunningStats lookup_hops;
+  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
+  /// Latencies in the transport's clock: microseconds on a real
+  /// transport, simulated time units in the DES.
   stats::RunningStats insert_latency_us;
   stats::RunningStats lookup_latency_us;
   stats::RunningStats get_latency_us;
@@ -255,9 +318,10 @@ struct DriverConfig {
   obs::TraceRecorder* trace = nullptr;
 };
 
-/// The client half: drives the workload, then reads every node's final
-/// load back with census probes. Pump the owning transport and feed
-/// replies to on_reply / fired timers to on_timer until done().
+/// The client half: drives the workload, then (on a real transport)
+/// reads every node's final load back with census probes. Pump the
+/// transport and feed replies to on_reply / fired timers to on_timer
+/// until done().
 template <typename Transport>
 class ClientDriver {
  public:
@@ -269,7 +333,9 @@ class ClientDriver {
         candidates_(rng::make_stream(cfg.seed, cfg.trial,
                                      rng::StreamPurpose::kBallChoices)),
         ties_(rng::make_stream(cfg.seed, cfg.trial,
-                               rng::StreamPurpose::kTieBreaking)) {
+                               rng::StreamPurpose::kTieBreaking)),
+        clients_(rng::make_stream(cfg.seed, cfg.trial,
+                                  rng::StreamPurpose::kWorkload)) {
     if (cfg.choices < 1 || cfg.choices > kMaxChoices) {
       throw std::invalid_argument("ClientDriver: choices must be in [1, " +
                                   std::to_string(kMaxChoices) + "]");
@@ -283,6 +349,7 @@ class ClientDriver {
           "does not carry");
     }
     report_.placements.assign(cfg.inserts, 0);
+    // One slot per windowed op: after this the pools never allocate.
     insert_ops_.reserve(cfg.window);
     lookup_ops_.reserve(cfg.window);
     if (cfg.store_gets > 0) {
@@ -299,17 +366,23 @@ class ClientDriver {
   /// Issue the first window. Call once, then pump the transport.
   void start() { advance(); }
 
+  /// Every workload op has completed — and, on a real transport, the
+  /// load census too.
   [[nodiscard]] bool done() const noexcept {
-    return census_got_ == ring_->node_count();
+    if constexpr (kSimulated<Transport>) {
+      return workload_done();
+    } else {
+      return census_got_ == ring_->node_count();
+    }
   }
 
   /// The finished run's report; meaningful once done().
   [[nodiscard]] const DriverReport& report() const noexcept { return report_; }
 
-  /// Handle one reply datagram (kProbeReply / kPlaceAck / kLookupReply /
-  /// kPutAck / kGetReply). Duplicates — a retransmitted request whose
-  /// first answer also made it — are detected and dropped at every step;
-  /// real networks deliver twice.
+  /// Handle one reply (kProbeReply / kPlaceAck / kLookupReply / kPutAck /
+  /// kGetReply). Duplicates — a retransmitted request whose first answer
+  /// also made it — are detected, counted in ignored_replies and dropped
+  /// at every step; real networks deliver twice.
   void on_reply(const Message& m) {
     switch (m.type) {
       case MsgType::kProbeReply:
@@ -332,7 +405,8 @@ class ClientDriver {
         on_get_reply(m);
         return;
       default:
-        return;  // a request echoed back is noise, not ours to serve
+        ++report_.ignored_replies;  // a request echoed back: not ours
+        return;
     }
   }
 
@@ -352,7 +426,7 @@ class ClientDriver {
         if (op == nullptr || op->op != t.op) return;
         ++report_.data_retransmits;
         const Message resend = protocol::make_lookup(
-            self(), op->op, op->key, ring_->successor(op->key), t.slot);
+            op->client, op->op, op->key, ring_->successor(op->key), t.slot);
         trace_event(obs::TracePhase::kRetransmit, resend);
         transport_->send(resend);
         op->timer = transport_->schedule(cfg_.retransmit_ms, t);
@@ -365,7 +439,7 @@ class ClientDriver {
         // Resending the identical put is safe: the owner overwrites with
         // the same bytes.
         const Message resend = protocol::make_put(
-            self(), owner_of(op->key_id), op->key_id,
+            op->client, owner_of(op->key_id), op->key_id,
             protocol::store_value(op->key_id), t.slot);
         trace_event(obs::TracePhase::kRetransmit, resend);
         transport_->send(resend);
@@ -377,7 +451,7 @@ class ClientDriver {
         if (op == nullptr || !op->is_get || op->op != t.op) return;
         ++report_.data_retransmits;
         const Message resend = protocol::make_get(
-            self(), op->op, owner_of(op->key_id), op->key_id, t.slot);
+            op->client, op->op, owner_of(op->key_id), op->key_id, t.slot);
         trace_event(obs::TracePhase::kRetransmit, resend);
         transport_->send(resend);
         op->timer = transport_->schedule(cfg_.retransmit_ms, t);
@@ -399,9 +473,15 @@ class ClientDriver {
  private:
   enum class Phase : std::uint8_t { kProbing, kPlacing };
 
+  /// The transport's clock: simulated time in the DES, microseconds of
+  /// CLOCK_MONOTONIC on a real transport. Latencies are differences of it.
+  using Time =
+      std::conditional_t<kSimulated<Transport>, SimTime, std::uint64_t>;
+
   struct InsertOp {
-    std::uint64_t start_us = 0;
+    Time start{};
     std::uint64_t op = 0;
+    std::uint32_t client = 0;
     std::array<double, kMaxChoices> key{};
     std::array<std::uint32_t, kMaxChoices> owner{};
     std::array<std::uint32_t, kMaxChoices> load{};
@@ -412,8 +492,9 @@ class ClientDriver {
     typename Transport::Timer timer{};
   };
   struct LookupOp {
-    std::uint64_t start_us = 0;
+    Time start{};
     std::uint64_t op = 0;
+    std::uint32_t client = 0;
     double key = 0.0;
     typename Transport::Timer timer{};
   };
@@ -421,9 +502,10 @@ class ClientDriver {
   /// discriminator keeps a stale ack for one kind from matching a
   /// recycled slot holding the other.
   struct StoreOp {
-    std::uint64_t start_us = 0;
+    Time start{};
     std::uint64_t op = 0;      // put: the key id itself; get: read index
     std::uint64_t key_id = 0;
+    std::uint32_t client = 0;
     bool is_get = false;
     typename Transport::Timer timer{};
   };
@@ -431,8 +513,29 @@ class ClientDriver {
   using LookupPool = core::ObjectPool<LookupOp>;
   using StorePool = core::ObjectPool<StoreOp>;
 
-  [[nodiscard]] std::uint32_t self() const noexcept {
-    return transport_->self();
+  [[nodiscard]] Time now() const noexcept {
+    if constexpr (kSimulated<Transport>) {
+      return transport_->now();
+    } else {
+      return transport_->now_us();
+    }
+  }
+
+  /// The node a new op starts from. A real driver is one node and issues
+  /// from itself; the DES hosts every node, so each op's client is one
+  /// uniform draw from the workload substream, taken at issue time.
+  [[nodiscard]] std::uint32_t origin() {
+    if constexpr (kSimulated<Transport>) {
+      return static_cast<std::uint32_t>(
+          rng::uniform_below(clients_, ring_->node_count()));
+    } else {
+      return transport_->self();
+    }
+  }
+
+  /// The op's latency so far, in the transport's clock.
+  [[nodiscard]] double since(Time start) const noexcept {
+    return static_cast<double>(now() - start);
   }
 
   void trace_event(obs::TracePhase phase, const Message& m) {
@@ -441,7 +544,7 @@ class ClientDriver {
     r.ts_us = static_cast<double>(transport_->now_us());
     r.op = m.op;
     r.node = m.at;
-    r.from = self();
+    r.from = m.client;
     r.client = m.client;
     r.hops = m.hops;
     r.load = m.load;
@@ -450,18 +553,44 @@ class ClientDriver {
     cfg_.trace->record(r);
   }
 
+  /// Send a request the client originates, recording it as scheduled.
+  void send_request(const Message& m) {
+    trace_event(obs::TracePhase::kScheduled, m);
+    transport_->send(m);
+  }
+
+  /// Arm the retransmit alarm of the op in `slot`; `type` names the
+  /// request it resends.
+  [[nodiscard]] typename Transport::Timer arm(MsgType type, std::uint64_t op,
+                                              std::uint64_t slot) {
+    Message alarm;
+    alarm.type = type;
+    alarm.op = op;
+    alarm.slot = slot;
+    return transport_->schedule(cfg_.retransmit_ms, alarm);
+  }
+
+  [[nodiscard]] bool workload_done() const noexcept {
+    return report_.inserts == cfg_.inserts &&
+           report_.lookups == cfg_.lookups &&
+           (cfg_.store_gets == 0 || (report_.puts == cfg_.inserts &&
+                                     report_.gets == cfg_.store_gets));
+  }
+
   void advance() {
     while (insert_ops_.live() < cfg_.window && next_insert_ < cfg_.inserts) {
       issue_insert();
     }
+    // Lookups measure the settled ring: they start only once every insert
+    // has been acknowledged.
     if (report_.inserts != cfg_.inserts) return;
     while (lookup_ops_.live() < cfg_.window && next_lookup_ < cfg_.lookups) {
       issue_lookup();
     }
     if (report_.lookups != cfg_.lookups) return;
-    // Store phases, mirroring SimCore: write every placed key's value to
-    // the owner the placement phase recorded, then read keys back with
-    // Zipf popularity.
+    // The store phases run last: write every placed key's value to the
+    // owner the placement phase recorded, then read keys back with Zipf
+    // popularity against the fully written store.
     if (cfg_.store_gets > 0) {
       while (store_ops_.live() < cfg_.window && next_put_ < cfg_.inserts) {
         issue_put();
@@ -472,60 +601,49 @@ class ClientDriver {
       }
       if (report_.gets != cfg_.store_gets) return;
     }
-    // Workload drained: read the final loads back. One census probe in
-    // flight at a time keeps this trivially at-most-once.
-    if (census_next_ == census_got_ && census_next_ < ring_->node_count()) {
-      send_census(census_next_++);
-      arm_census_timer();
+    // Workload drained. The DES reads loads from its node objects; a real
+    // driver reads them back, one census probe in flight at a time, which
+    // keeps the census trivially at-most-once.
+    if constexpr (!kSimulated<Transport>) {
+      if (census_next_ == census_got_ && census_next_ < ring_->node_count()) {
+        send_census(census_next_++);
+        arm_census_timer();
+      }
     }
   }
 
   void issue_insert() {
-    const std::uint64_t op_id = next_insert_++;
-    InsertOp rec;
-    rec.start_us = transport_->now_us();
-    rec.op = op_id;
-    // The one stream both worlds share: candidate keys drawn at issue
-    // time, in operation order.
-    for (int j = 0; j < cfg_.choices; ++j) {
-      rec.key[static_cast<std::size_t>(j)] = rng::uniform01(candidates_);
-    }
-    const auto handle = insert_ops_.emplace(rec);
-    InsertOp& live = insert_ops_.get(handle);
+    const auto handle = insert_ops_.emplace();
     const std::uint64_t slot = handle.pack();
+    InsertOp& op = insert_ops_.get(handle);
+    op.start = now();
+    op.op = next_insert_++;
+    op.client = origin();
+    // Candidate keys drawn at issue time, in operation order — with
+    // window = 1 exactly the run_process draw order.
     for (int j = 0; j < cfg_.choices; ++j) {
-      const double key = live.key[static_cast<std::size_t>(j)];
-      const Message m = protocol::make_probe(
-          self(), op_id, static_cast<std::uint8_t>(j), key,
-          ring_->successor(key), slot);
-      trace_event(obs::TracePhase::kScheduled, m);
-      transport_->send(m);
+      op.key[static_cast<std::size_t>(j)] = rng::uniform01(candidates_);
     }
-    Message alarm;
-    alarm.type = MsgType::kProbe;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    live.timer = transport_->schedule(cfg_.retransmit_ms, alarm);
+    for (int j = 0; j < cfg_.choices; ++j) {
+      const double key = op.key[static_cast<std::size_t>(j)];
+      send_request(protocol::make_probe(op.client, op.op,
+                                        static_cast<std::uint8_t>(j), key,
+                                        ring_->successor(key), slot));
+    }
+    op.timer = arm(MsgType::kProbe, op.op, slot);
   }
 
   void issue_lookup() {
-    const std::uint64_t op_id = next_lookup_++;
-    LookupOp rec;
-    rec.start_us = transport_->now_us();
-    rec.op = op_id;
-    rec.key = rng::uniform01(candidates_);
-    const auto handle = lookup_ops_.emplace(rec);
+    const auto handle = lookup_ops_.emplace();
     const std::uint64_t slot = handle.pack();
-    const Message m = protocol::make_lookup(self(), op_id, rec.key,
-                                            ring_->successor(rec.key), slot);
-    trace_event(obs::TracePhase::kScheduled, m);
-    transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kLookup;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    lookup_ops_.get(handle).timer = transport_->schedule(cfg_.retransmit_ms,
-                                                         alarm);
+    LookupOp& op = lookup_ops_.get(handle);
+    op.start = now();
+    op.op = next_lookup_++;
+    op.client = origin();
+    op.key = rng::uniform01(candidates_);
+    send_request(protocol::make_lookup(op.client, op.op, op.key,
+                                       ring_->successor(op.key), slot));
+    op.timer = arm(MsgType::kLookup, op.op, slot);
   }
 
   /// The node the placement phase recorded for `key_id` — the address
@@ -535,47 +653,32 @@ class ClientDriver {
   }
 
   void issue_put() {
-    const std::uint64_t key_id = next_put_++;
-    StoreOp rec;
-    rec.start_us = transport_->now_us();
-    rec.op = key_id;
-    rec.key_id = key_id;
-    const auto handle = store_ops_.emplace(rec);
+    const auto handle = store_ops_.emplace();
     const std::uint64_t slot = handle.pack();
-    const Message m =
-        protocol::make_put(self(), owner_of(key_id), key_id,
-                           protocol::store_value(key_id), slot);
-    trace_event(obs::TracePhase::kScheduled, m);
-    transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kPut;
-    alarm.op = key_id;
-    alarm.slot = slot;
-    store_ops_.get(handle).timer =
-        transport_->schedule(cfg_.retransmit_ms, alarm);
+    StoreOp& op = store_ops_.get(handle);
+    op.start = now();
+    op.op = next_put_++;
+    op.key_id = op.op;
+    op.client = origin();
+    send_request(protocol::make_put(op.client, owner_of(op.key_id), op.key_id,
+                                    protocol::store_value(op.key_id), slot));
+    op.timer = arm(MsgType::kPut, op.op, slot);
   }
 
   void issue_get() {
-    const std::uint64_t op_id = next_get_++;
-    StoreOp rec;
-    rec.start_us = transport_->now_us();
-    rec.op = op_id;
-    // Same sampler, same stream as the simulator: key popularity drawn
-    // from the candidate stream at issue time, in operation order.
-    rec.key_id = store_keys_->sample(candidates_);
-    rec.is_get = true;
-    const auto handle = store_ops_.emplace(rec);
+    const auto handle = store_ops_.emplace();
     const std::uint64_t slot = handle.pack();
-    const Message m = protocol::make_get(self(), op_id, owner_of(rec.key_id),
-                                         rec.key_id, slot);
-    trace_event(obs::TracePhase::kScheduled, m);
-    transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kGet;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    store_ops_.get(handle).timer =
-        transport_->schedule(cfg_.retransmit_ms, alarm);
+    StoreOp& op = store_ops_.get(handle);
+    op.start = now();
+    op.op = next_get_++;
+    // Key popularity drawn from the candidate stream at issue time, in
+    // operation order.
+    op.key_id = store_keys_->sample(candidates_);
+    op.client = origin();
+    op.is_get = true;
+    send_request(protocol::make_get(op.client, op.op, owner_of(op.key_id),
+                                    op.key_id, slot));
+    op.timer = arm(MsgType::kGet, op.op, slot);
   }
 
   void resend_insert(const InsertOp& op, std::uint64_t slot) {
@@ -585,7 +688,7 @@ class ClientDriver {
         if (op.replied & (1u << j)) continue;  // that reply already landed
         const double key = op.key[static_cast<std::size_t>(j)];
         const Message m = protocol::make_probe(
-            self(), op.op, static_cast<std::uint8_t>(j), key,
+            op.client, op.op, static_cast<std::uint8_t>(j), key,
             ring_->successor(key), slot);
         trace_event(obs::TracePhase::kRetransmit, m);
         transport_->send(m);
@@ -593,7 +696,7 @@ class ClientDriver {
     } else {
       const auto bs = static_cast<std::size_t>(op.best);
       const Message m = protocol::make_place(
-          self(), op.op, static_cast<std::uint8_t>(op.best), op.owner[bs],
+          op.client, op.op, static_cast<std::uint8_t>(op.best), op.owner[bs],
           op.load[bs], slot);
       trace_event(obs::TracePhase::kRetransmit, m);
       transport_->send(m);
@@ -602,38 +705,46 @@ class ClientDriver {
 
   void on_probe_reply(const Message& m) {
     InsertOp* op = insert_ops_.try_get(InsertPool::Handle::unpack(m.slot));
-    if (op == nullptr || op->op != m.op) return;       // op already done
-    if (op->phase != Phase::kProbing) return;          // late straggler
-    if (m.probe >= kMaxChoices) return;                // corrupt index
-    const std::uint32_t bit = 1u << m.probe;
-    if (op->replied & bit) return;                     // duplicate reply
+    const std::uint32_t bit = m.probe < kMaxChoices ? 1u << m.probe : 0u;
+    if (op == nullptr || op->op != m.op ||  // op already done
+        op->phase != Phase::kProbing ||     // late straggler
+        bit == 0 ||                         // corrupt index
+        (op->replied & bit) != 0) {         // duplicate reply
+      ++report_.ignored_replies;
+      return;
+    }
     op->replied |= bit;
     op->owner[m.probe] = m.from;
     op->load[m.probe] = m.load;
+    report_.probe_hops += m.hops;
     if (++op->replies < cfg_.choices) return;
 
-    // All d replies in: the same selection kernel the simulator runs.
+    // All d replies in: pick the least-loaded candidate. The loads are
+    // reply-time snapshots — under a wide window they may already be
+    // stale.
     op->best = protocol::pick_best_candidate(op->owner.data(), op->load.data(),
                                              cfg_.choices, cfg_.tie, ties_);
     op->phase = Phase::kPlacing;
     const auto bs = static_cast<std::size_t>(op->best);
     report_.placements[op->op] = op->owner[bs];
-    transport_->send(protocol::make_place(m.client, m.op,
-                                          static_cast<std::uint8_t>(op->best),
-                                          op->owner[bs], op->load[bs],
-                                          m.slot));
+    send_request(protocol::make_place(m.client, m.op,
+                                      static_cast<std::uint8_t>(op->best),
+                                      op->owner[bs], op->load[bs], m.slot));
   }
 
   void on_place_ack(const Message& m) {
     const auto h = InsertPool::Handle::unpack(m.slot);
     InsertOp* op = insert_ops_.try_get(h);
-    if (op == nullptr || op->op != m.op) return;  // duplicate ack
-    if (op->phase != Phase::kPlacing) return;     // ack without a place?
+    if (op == nullptr || op->op != m.op ||   // duplicate ack
+        op->phase != Phase::kPlacing) {      // ack without a place?
+      ++report_.ignored_replies;
+      return;
+    }
     trace_event(obs::TracePhase::kDelivered, m);
     if (transport_->armed(op->timer)) transport_->cancel(op->timer);
-    const double us = static_cast<double>(transport_->now_us() - op->start_us);
-    report_.insert_latency_us.add(us);
-    report_.insert_latency_us_q.add(us);
+    const double latency = since(op->start);
+    report_.insert_latency_us.add(latency);
+    report_.insert_latency_us_q.add(latency);
     insert_ops_.release(h);
     ++report_.inserts;
     advance();
@@ -642,12 +753,18 @@ class ClientDriver {
   void on_lookup_reply(const Message& m) {
     const auto h = LookupPool::Handle::unpack(m.slot);
     LookupOp* op = lookup_ops_.try_get(h);
-    if (op == nullptr || op->op != m.op) return;  // duplicate reply
+    if (op == nullptr || op->op != m.op) {  // duplicate reply
+      ++report_.ignored_replies;
+      return;
+    }
     trace_event(obs::TracePhase::kDelivered, m);
     if (transport_->armed(op->timer)) transport_->cancel(op->timer);
-    const double us = static_cast<double>(transport_->now_us() - op->start_us);
-    report_.lookup_latency_us.add(us);
-    report_.lookup_latency_us_q.add(us);
+    const double latency = since(op->start);
+    const double route_hops = protocol::route_hops_of(m.hops);
+    report_.lookup_hops.add(route_hops);
+    report_.lookup_hops_q.add(route_hops);
+    report_.lookup_latency_us.add(latency);
+    report_.lookup_latency_us_q.add(latency);
     lookup_ops_.release(h);
     ++report_.lookups;
     advance();
@@ -656,7 +773,10 @@ class ClientDriver {
   void on_put_ack(const Message& m) {
     const auto h = StorePool::Handle::unpack(m.slot);
     StoreOp* op = store_ops_.try_get(h);
-    if (op == nullptr || op->is_get || op->op != m.op) return;  // duplicate
+    if (op == nullptr || op->is_get || op->op != m.op) {  // duplicate
+      ++report_.ignored_replies;
+      return;
+    }
     trace_event(obs::TracePhase::kDelivered, m);
     if (transport_->armed(op->timer)) transport_->cancel(op->timer);
     store_ops_.release(h);
@@ -667,19 +787,22 @@ class ClientDriver {
   void on_get_reply(const Message& m) {
     const auto h = StorePool::Handle::unpack(m.slot);
     StoreOp* op = store_ops_.try_get(h);
-    if (op == nullptr || !op->is_get || op->op != m.op) return;  // duplicate
+    if (op == nullptr || !op->is_get || op->op != m.op) {  // duplicate
+      ++report_.ignored_replies;
+      return;
+    }
     trace_event(obs::TracePhase::kDelivered, m);
     if (transport_->armed(op->timer)) transport_->cancel(op->timer);
     if (m.probe == 0) {
       ++report_.get_misses;
     } else if (m.value != protocol::store_value(op->key_id)) {
-      // Values are a fixed function of the key in both worlds; anything
-      // else is corruption, not load.
+      // Every key was written before the read phase starts, and values
+      // are a fixed function of the key: a wrong one is corruption.
       throw std::logic_error("ClientDriver: get returned a wrong value");
     }
-    const double us = static_cast<double>(transport_->now_us() - op->start_us);
-    report_.get_latency_us.add(us);
-    report_.get_latency_us_q.add(us);
+    const double latency = since(op->start);
+    report_.get_latency_us.add(latency);
+    report_.get_latency_us_q.add(latency);
     store_ops_.release(h);
     ++report_.gets;
     advance();
@@ -689,19 +812,21 @@ class ClientDriver {
     // successor(node_id(i)) == i: a probe keyed at the node's own ring
     // position lands exactly there. Probes mutate nothing server-side, so
     // census retransmits need no dedup.
-    transport_->send(protocol::make_probe(self(), node, protocol::kCensusProbe,
+    transport_->send(protocol::make_probe(transport_->self(), node,
+                                          protocol::kCensusProbe,
                                           ring_->node_id(node), node, 0));
   }
 
   void arm_census_timer() {
-    Message alarm;
-    alarm.type = MsgType::kProbeReply;
-    census_timer_ = transport_->schedule(cfg_.retransmit_ms, alarm);
+    census_timer_ = arm(MsgType::kProbeReply, 0, 0);
     census_timer_armed_ = true;
   }
 
   void on_census_reply(const Message& m) {
-    if (m.op != census_got_) return;  // duplicate or out-of-order census
+    if (m.op != census_got_) {  // duplicate or out-of-order census
+      ++report_.ignored_replies;
+      return;
+    }
     if (census_timer_armed_ && transport_->armed(census_timer_)) {
       transport_->cancel(census_timer_);
     }
@@ -717,6 +842,8 @@ class ClientDriver {
   Transport* transport_;
   rng::DefaultEngine candidates_;
   rng::DefaultEngine ties_;
+  /// Client picks; drawn only by a simulated transport (see origin()).
+  rng::DefaultEngine clients_;
   InsertPool insert_ops_;
   LookupPool lookup_ops_;
   StorePool store_ops_;

@@ -1,13 +1,10 @@
-// protocol.hpp — the per-node protocol decisions of the wire-level DHT,
-// shared by both worlds.
+// protocol.hpp — the protocol decisions of the wire-level DHT: which
+// candidate a client places at, and what each message carries.
 //
-// SimCore (sim_core.hpp) executes these steps for every simulated node in
-// one process; NodeLogic (node.hpp) executes them for the one node a real
-// process embodies. Keeping the decision kernels here — which candidate a
-// client places at, what each reply message carries — is what makes the
-// simulator a valid differential oracle for the served cluster: for
-// deterministic tie-breaks the two worlds make bit-identical placement
-// decisions from the same candidate stream.
+// NodeLogic and ClientDriver (node.hpp) are the only code that builds or
+// answers messages, in the simulator and on the wire alike; these
+// kernels are the decisions they share. Keeping them pure — no state, no
+// transport — is what lets tests pin them on their own.
 //
 // Message-construction rules the builders pin down:
 //   * replies inherit the request's fields (op, key, probe, slot, hops)
@@ -33,6 +30,19 @@ namespace geochoice::net::protocol {
 /// Census probes (a client reading every node's final load) mark the
 /// otherwise-unused probe index 0xff; insert probes use 0 .. d-1 < 16.
 inline constexpr std::uint8_t kCensusProbe = 0xff;
+
+/// Requests are served by a node (NodeLogic); everything else is a reply
+/// its client (ClientDriver) consumes.
+[[nodiscard]] constexpr bool is_request(MsgType t) noexcept {
+  return t == MsgType::kProbe || t == MsgType::kPlace ||
+         t == MsgType::kLookup || t == MsgType::kPut || t == MsgType::kGet;
+}
+
+/// Routed requests hop along Chord fingers toward successor(key); every
+/// other message goes straight to its `at` node.
+[[nodiscard]] constexpr bool is_routed(MsgType t) noexcept {
+  return t == MsgType::kProbe || t == MsgType::kLookup;
+}
 
 /// Pick the least-loaded candidate from d (owner, load) reply pairs.
 /// Exactly run_process's comparison loop: ties resolved by the configured

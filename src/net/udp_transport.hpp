@@ -10,13 +10,14 @@
 // ports force the two-phase setup: bind everyone, learn the ports, then
 // exchange the table).
 //
-// The surface mirrors SimTransport verb-for-verb — send one message to
-// its `at` node, deliver locally, schedule a timer — so NodeLogic and
-// the client driver (node.hpp) compile against either world unchanged.
-// The one honest difference: the real world has no global clock, so
-// poll() pumps the socket and the wheel instead of a drive loop popping
-// a queue, and fired timers arrive through their own callback (a timer
-// here is a local retransmit alarm, not a simulated event).
+// The surface is the one NodeLogic and ClientDriver (node.hpp) are
+// written against, verb for verb with SimTransport: send one message to
+// its `at` node, deliver locally, schedule / cancel a timer, read the
+// clock. What differs is the world behind it: there is no global clock,
+// so poll() pumps the socket and the wheel instead of a drive loop
+// popping a queue; an op's first hop is a real datagram to the node's
+// own socket; and timers fire, through their own callback, because
+// datagrams get lost.
 //
 // Thread model: single-threaded, like the node it serves. Everything —
 // send, poll, timers — happens on the caller's one event-loop thread.

@@ -5,14 +5,17 @@
 // One recorder observes one trial. The phases cover a message's life in
 // every world the repo runs it in:
 //
-//   scheduled      handed to a transport (SimTransport::send or a real
-//                  UDP datagram leaving ClientDriver)
+//   scheduled      a request handed to the transport by its client
+//                  (ClientDriver, in every world)
 //   popped         dequeued by the DES engine for execution
 //   forwarded      routed one Chord hop toward the owner
 //   delivered      arrived at its destination handler
 //   retransmitted  a timeout fired and the message was sent again
 //
-// `--transport=sim` and `--transport=udp` emit the SAME schema: instant
+// Both worlds run the same NodeLogic/ClientDriver handlers, and those do
+// the recording, so `--transport=sim` and `--transport=udp` emit the SAME
+// schema and the same lifecycle names (the DES drive loop adds `popped`;
+// only UDP retransmits): instant
 // events ("ph":"i") with ts in microseconds, tid = the node acting on
 // the message, and args carrying op/key routing detail. Simulator time
 // is abstract; one sim time unit renders as one millisecond so traces

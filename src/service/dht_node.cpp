@@ -180,17 +180,10 @@ int drive(const Options& opt) {
     transport.poll(
         1,
         [&](const net::Message& m) {
-          switch (m.type) {
-            case net::MsgType::kProbe:
-            case net::MsgType::kPlace:
-            case net::MsgType::kLookup:
-            case net::MsgType::kPut:
-            case net::MsgType::kGet:
-              node.on_message(m);
-              return;
-            default:
-              driver.on_reply(m);
-              return;
+          if (net::protocol::is_request(m.type)) {
+            node.on_message(m);
+          } else {
+            driver.on_reply(m);
           }
         },
         [&](const net::Message& t) { driver.on_timer(t); });
@@ -200,6 +193,7 @@ int drive(const Options& opt) {
   std::printf("nodes=%zu inserts=%llu lookups=%llu puts=%llu gets=%llu "
               "get_misses=%llu max_load=%u keys_stored=%llu "
               "retransmits=%llu data_retransmits=%llu census_retries=%llu "
+              "ignored_replies=%llu "
               "datagrams_out=%llu send_errors=%llu malformed=%llu\n",
               opt.nodes, static_cast<unsigned long long>(r.inserts),
               static_cast<unsigned long long>(r.lookups),
@@ -210,6 +204,7 @@ int drive(const Options& opt) {
               static_cast<unsigned long long>(r.total_retransmits()),
               static_cast<unsigned long long>(r.data_retransmits),
               static_cast<unsigned long long>(r.census_retries),
+              static_cast<unsigned long long>(r.ignored_replies),
               static_cast<unsigned long long>(transport.links().total),
               static_cast<unsigned long long>(transport.send_errors()),
               static_cast<unsigned long long>(transport.malformed()));

@@ -191,8 +191,8 @@ std::uint32_t drive_engine(const S& space, Engine engine,
 
 /// Execute all trials for one concrete space type. `make_space(trial,
 /// servers_engine)` builds the trial's space (or box) from its
-/// kServerPlacement substream — the same derivation run_max_load_experiment
-/// has always used, which keeps the shim bit-compatible.
+/// kServerPlacement substream — the derivation the golden histograms
+/// (tests/test_golden.cpp) pin.
 template <typename MakeSpace>
 std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
                                           MakeSpace&& make_space) {

@@ -9,9 +9,8 @@
 //
 // Determinism contract (inherited from the engines):
 //   * Trial t builds its space from the (seed, t, kServerPlacement)
-//     substream and runs balls on (seed, t, kBallChoices) — identical to
-//     the historical run_max_load_experiment derivation, so the shim in
-//     experiment.hpp is bit-compatible with every pinned golden value.
+//     substream and runs balls on (seed, t, kBallChoices); with
+//     engine = kScalar that reproduces every pinned golden histogram.
 //   * For deterministic tie-breaks (kFirstChoice, kLowestIndex, the
 //     region strategies) both engines consume the ball stream
 //     identically, so RunReport::max_load is bit-identical across
@@ -87,10 +86,9 @@ enum class WireTransport {
 [[nodiscard]] std::string_view to_string(WireTransport t) noexcept;
 [[nodiscard]] WireTransport wire_transport_from_string(std::string_view name);
 
-/// Declarative experiment spec. The first block of fields matches
-/// ExperimentConfig member-for-member (see experiment.hpp for the
-/// migration map); the rest are the engine selector, per-space knobs,
-/// and reporting options.
+/// Declarative experiment spec: the experiment (space, n/m/d, tie,
+/// scheme, trials, seed, threads), then the engine selector, per-space
+/// knobs, and reporting options.
 struct Scenario {
   SpaceKind space = SpaceKind::kRing;
   std::uint64_t num_servers = 1 << 8;  // n

@@ -3,7 +3,6 @@
 
 #include "sim/cli.hpp"             // IWYU pragma: export
 #include "sim/csv.hpp"             // IWYU pragma: export
-#include "sim/experiment.hpp"      // IWYU pragma: export
 #include "sim/net_experiment.hpp"  // IWYU pragma: export
 #include "sim/scenario.hpp"        // IWYU pragma: export
 #include "sim/table_format.hpp"    // IWYU pragma: export

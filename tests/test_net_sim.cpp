@@ -152,7 +152,52 @@ TEST(ChordRouting, FingerAccessorMatchesConstruction) {
   }
 }
 
+// ------------------------------------------------------------ transport
+
+TEST(SimTransport, FirstHopIsLocalAndFree) {
+  // An op's first hop — a routed request still at its client — is a
+  // zero-delay delivery that counts no link and draws no delay; every
+  // other send is one link with one drawn delay, a reply to a client that
+  // owns the key included.
+  const auto model = gn::LatencyModel::uniform(0.5, 1.5);
+  gn::SimTransport t(model,
+                     gr::make_stream(1, 0, gr::StreamPurpose::kNetLatency),
+                     1.0);
+  auto delays = gr::make_stream(1, 0, gr::StreamPurpose::kNetLatency);
+
+  gn::Message probe;
+  probe.type = gn::MsgType::kProbe;
+  probe.at = 3;
+  probe.client = 3;
+  t.send(probe);
+  EXPECT_EQ(t.links().total, 0u);
+  EXPECT_EQ(t.pop().time, 0.0);
+
+  gn::Message forwarded = probe;
+  forwarded.hops = 1;
+  forwarded.at = 5;
+  t.send(forwarded);
+  gn::Message reply = probe;
+  reply.type = gn::MsgType::kProbeReply;
+  t.send(reply);
+  EXPECT_EQ(t.links().total, 2u);
+  const double first = model.sample(delays);
+  const double second = model.sample(delays);
+  const auto a = t.pop();
+  const auto b = t.pop();
+  EXPECT_EQ(a.time, std::min(first, second));
+  EXPECT_EQ(b.time, std::max(first, second));
+  EXPECT_TRUE(t.idle());
+}
+
 // ----------------------------------------------------------- simulator
+
+TEST(NetSim, NodeObjectsStaySmall) {
+  // The DES hosts one NodeLogic per ring node; until a store phase runs, a
+  // node is its load, its stale tally and an empty store pointer. Larger
+  // node objects crowd the finger tables out of cache on every hop.
+  EXPECT_LE(sizeof(gn::NodeLogic<gn::SimTransport>), 16u);
+}
 
 TEST(NetSim, RejectsBadConfigs) {
   gn::NetConfig cfg;

@@ -10,7 +10,8 @@
 //     census_retries, and never each other's counter;
 //   * the message-lifecycle trace hooks: scheduled / forwarded /
 //     delivered / retransmitted events land in an attached
-//     obs::TraceRecorder with the fields the Chrome export needs.
+//     obs::TraceRecorder with the fields the Chrome export needs;
+//   * duplicate and late replies: dropped without effect, and counted.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,6 +22,8 @@
 #include "core/tie_breaking.hpp"
 #include "dht/chord.hpp"
 #include "net/node.hpp"
+#include "net/protocol.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "rng/streams.hpp"
 
@@ -155,6 +158,74 @@ TEST(NodeLogicDriver, TraceRecordsScheduledAndRetransmitted) {
     EXPECT_EQ(r.op, 0u);
     EXPECT_EQ(r.from, transport.self());
   }
+}
+
+/// The owner's answer to probe `p` as the driver sent it: delivered at
+/// its destination, carrying `load`.
+net::Message reply_to(net::Message p, std::uint32_t load) {
+  p.at = p.dest;
+  return net::protocol::make_probe_reply(p, load);
+}
+
+TEST(NodeLogicDriver, DuplicateProbeReplyIsIgnoredOnce) {
+  const auto ring = make_ring(4);
+  FakeTransport transport;
+  auto cfg = driver_config(/*inserts=*/1, /*lookups=*/0);
+  net::ClientDriver<FakeTransport> driver(ring, cfg, transport);
+
+  driver.start();
+  ASSERT_EQ(transport.sent_of(net::MsgType::kProbe), 2u);
+  const net::Message first = reply_to(transport.sent[0], 0);
+  const net::Message second = reply_to(transport.sent[1], 0);
+
+  // The same reply twice: the second is dropped and counted, and the
+  // placement waits for the other candidate.
+  driver.on_reply(first);
+  driver.on_reply(first);
+  EXPECT_EQ(driver.report().ignored_replies, 1u);
+  EXPECT_EQ(transport.sent_of(net::MsgType::kPlace), 0u);
+
+  driver.on_reply(second);
+  EXPECT_EQ(transport.sent_of(net::MsgType::kPlace), 1u);
+  // A straggler after the decision changes nothing but the counter.
+  driver.on_reply(second);
+  EXPECT_EQ(driver.report().ignored_replies, 2u);
+  EXPECT_EQ(transport.sent_of(net::MsgType::kPlace), 1u);
+}
+
+TEST(NodeLogicDriver, CompletedProbeRoundTracesThePlacement) {
+  const auto ring = make_ring(4);
+  FakeTransport transport;
+  obs::TraceRecorder rec;
+  auto cfg = driver_config(/*inserts=*/1, /*lookups=*/0);
+  cfg.trace = &rec;
+  net::ClientDriver<FakeTransport> driver(ring, cfg, transport);
+
+  driver.start();
+  driver.on_reply(reply_to(transport.sent[0], 0));
+  driver.on_reply(reply_to(transport.sent[1], 0));
+  ASSERT_EQ(transport.sent.back().type, net::MsgType::kPlace);
+  driver.on_reply(net::protocol::make_place_ack(transport.sent.back()));
+  EXPECT_EQ(driver.report().inserts, 1u);
+  EXPECT_EQ(driver.report().probe_hops, 0u);
+
+  if (!obs::compiled_in()) {
+    EXPECT_EQ(rec.size(), 0u);
+    return;
+  }
+  // Two probes scheduled, the placement scheduled, its ack delivered:
+  // every client send is recorded, the kPlace included.
+  const auto records = rec.records();
+  ASSERT_EQ(records.size(), 4u);
+  const auto is = [&](std::size_t i, net::MsgType type,
+                      obs::TracePhase phase) {
+    return records[i].msg_type == static_cast<std::uint8_t>(type) &&
+           records[i].phase == phase;
+  };
+  EXPECT_TRUE(is(0, net::MsgType::kProbe, obs::TracePhase::kScheduled));
+  EXPECT_TRUE(is(1, net::MsgType::kProbe, obs::TracePhase::kScheduled));
+  EXPECT_TRUE(is(2, net::MsgType::kPlace, obs::TracePhase::kScheduled));
+  EXPECT_TRUE(is(3, net::MsgType::kPlaceAck, obs::TracePhase::kDelivered));
 }
 
 TEST(NodeLogicServer, ForwardAndDeliverHitTheTrace) {

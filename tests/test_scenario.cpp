@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/cli.hpp"
-#include "sim/experiment.hpp"
 #include "sim/net_experiment.hpp"
 #include "sim/scenario.hpp"
 
@@ -350,20 +349,6 @@ TEST(Scenario, CsvAndJsonEchoTheResolvedSpec) {
   EXPECT_NE(summary.find("space=ring"), std::string::npos);
   EXPECT_NE(summary.find("engine=scalar"), std::string::npos);
   EXPECT_NE(summary.find("distribution of max load"), std::string::npos);
-}
-
-// --------------------------------------------------------------- shim parity
-
-TEST(Scenario, ShimEqualsFacadeWithScalarEngine) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kTorus;
-  cfg.num_servers = 128;
-  cfg.trials = 10;
-  cfg.seed = 321;
-  const auto via_shim = gm::run_max_load_experiment(cfg);
-  const auto via_facade = gm::run(gm::to_scenario(cfg)).max_load;
-  EXPECT_EQ(via_shim, via_facade);
-  EXPECT_EQ(gm::to_scenario(cfg).engine, gm::Engine::kScalar);
 }
 
 // --------------------------------------------------------------- wire model

@@ -100,7 +100,7 @@ TEST(Experiment, SpaceKindRoundTrip) {
 }
 
 TEST(Experiment, BallsDefaultsToServers) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
   cfg.num_servers = 100;
   EXPECT_EQ(cfg.balls(), 100u);
   cfg.num_balls = 10;
@@ -108,71 +108,78 @@ TEST(Experiment, BallsDefaultsToServers) {
 }
 
 TEST(Experiment, ZeroTrialsRejected) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.trials = 0;
-  EXPECT_THROW((void)gm::run_max_load_experiment(cfg), std::invalid_argument);
+  EXPECT_THROW((void)gm::run(cfg), std::invalid_argument);
 }
 
 TEST(Experiment, DeterministicAcrossThreadCounts) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.space = gm::SpaceKind::kRing;
   cfg.num_servers = 256;
   cfg.trials = 40;
   cfg.seed = 7;
   cfg.threads = 1;
-  const auto h1 = gm::run_max_load_experiment(cfg);
+  const auto h1 = gm::run(cfg).max_load;
   cfg.threads = 4;
-  const auto h4 = gm::run_max_load_experiment(cfg);
+  const auto h4 = gm::run(cfg).max_load;
   EXPECT_EQ(h1, h4);
 }
 
 TEST(Experiment, SeedChangesDistributionSamples) {
-  gm::ExperimentConfig a;
+  gm::Scenario a;
+  a.engine = gm::Engine::kScalar;
   a.num_servers = 256;
   a.trials = 20;
   a.seed = 1;
-  gm::ExperimentConfig b = a;
+  gm::Scenario b = a;
   b.seed = 2;
   // Same shape but (almost surely) not identical histograms.
-  EXPECT_NE(gm::run_max_load_experiment(a), gm::run_max_load_experiment(b));
+  EXPECT_NE(gm::run(a).max_load, gm::run(b).max_load);
 }
 
 TEST(Experiment, UniformTwoChoiceMatchesKnownScale) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.space = gm::SpaceKind::kUniform;
   cfg.num_servers = 1 << 12;
   cfg.trials = 30;
-  const auto h = gm::run_max_load_experiment(cfg);
+  const auto h = gm::run(cfg).max_load;
   // Classic result: max load = log2 log n + Theta(1) ~ 3-4 at n = 4096.
   EXPECT_GE(h.min_value(), 2u);
   EXPECT_LE(h.max_value(), 6u);
 }
 
 TEST(Experiment, MeanMaxLoadAgreesWithHistogram) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.num_servers = 128;
   cfg.trials = 25;
-  EXPECT_NEAR(gm::mean_max_load(cfg),
-              gm::run_max_load_experiment(cfg).mean(), 1e-12);
+  EXPECT_NEAR(gm::run(cfg).mean_max_load(), gm::run(cfg).max_load.mean(),
+              1e-12);
 }
 
 TEST(Experiment, TorusExperimentRuns) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.space = gm::SpaceKind::kTorus;
   cfg.num_servers = 256;
   cfg.trials = 10;
-  const auto h = gm::run_max_load_experiment(cfg);
+  const auto h = gm::run(cfg).max_load;
   EXPECT_EQ(h.total(), 10u);
   EXPECT_GE(h.min_value(), 2u);
   EXPECT_LE(h.max_value(), 7u);
 }
 
 TEST(Experiment, SmallerRegionTieOnTorusRuns) {
-  gm::ExperimentConfig cfg;
+  gm::Scenario cfg;
+  cfg.engine = gm::Engine::kScalar;
   cfg.space = gm::SpaceKind::kTorus;
   cfg.num_servers = 128;
   cfg.trials = 5;
   cfg.tie = gc::TieBreak::kSmallerRegion;
-  const auto h = gm::run_max_load_experiment(cfg);
+  const auto h = gm::run(cfg).max_load;
   EXPECT_EQ(h.total(), 5u);
 }
