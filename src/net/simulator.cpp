@@ -79,24 +79,9 @@ NetMetrics NetSimulator::simulate(const NetConfig& cfg) {
   return sim.run();
 }
 
-NetMetrics NetSimulator::run() {
-  if (ran_) throw std::logic_error("NetSimulator::run: single-shot");
-  ran_ = true;
-  driver_.start();
-  while (!transport_.idle() && budget_left()) execute(transport_.pop());
-  // Every message belongs to an op and an op's last message completes it,
-  // so a drained queue with ops outstanding means a reply was dropped.
-  if (budget_left() &&
-      (!driver_.done() || driver_.report().ignored_replies != 0)) {
-    throw std::logic_error(
-        "NetSimulator: event queue drained before the workload completed");
-  }
-  return finish();
-}
-
 /// Execute one popped event: count it, fold the trace hash, record the
 /// trace entry, hand a request to its node and a reply to the driver.
-void NetSimulator::execute(const MessageQueue::Event& e) {
+inline void NetSimulator::execute(const MessageQueue::Event& e) {
   const Message& m = e.payload;
   ++metrics_.events;
   metrics_.end_time = e.time;
@@ -129,6 +114,21 @@ void NetSimulator::execute(const MessageQueue::Event& e) {
   } else {
     driver_.on_reply(m);
   }
+}
+
+NetMetrics NetSimulator::run() {
+  if (ran_) throw std::logic_error("NetSimulator::run: single-shot");
+  ran_ = true;
+  driver_.start();
+  while (!transport_.idle() && budget_left()) execute(transport_.pop());
+  // Every message belongs to an op and an op's last message completes it,
+  // so a drained queue with ops outstanding means a reply was dropped.
+  if (budget_left() &&
+      (!driver_.done() || driver_.report().ignored_replies != 0)) {
+    throw std::logic_error(
+        "NetSimulator: event queue drained before the workload completed");
+  }
+  return finish();
 }
 
 /// Pull the wire cost out of the transport, the tallies out of the
