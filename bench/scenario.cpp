@@ -8,7 +8,9 @@
 //   scenario --space=torus --engine=batched --n=4096 --d=2 --trials=50
 // prints the resolved spec, timing, percentiles, and the max-load
 // distribution; --csv=PATH / --json=PATH mirror the report to files.
-// All flags are the shared scenario set (sim::scenario_from_args).
+// All flags are the shared scenario set (sim::scenario_from_args). A spec
+// the flags or sim::run reject exits 2 with "scenario: <reason>"; any
+// other failure of the run exits 1.
 //
 // Matrix mode:
 //   scenario --matrix [--quick]
@@ -202,7 +204,12 @@ int main(int argc, char** argv) {
   gm::Scenario sc;
   std::string csv_path, json_path;
   if (!matrix) {
-    sc = gm::scenario_from_args(args);
+    try {
+      sc = gm::scenario_from_args(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scenario: %s\n", e.what());
+      return 2;
+    }
     csv_path = args.get_string("csv", "");
     json_path = args.get_string("json", "");
   }
@@ -213,12 +220,26 @@ int main(int argc, char** argv) {
 
   if (matrix) return run_matrix(quick);
 
-  const auto report = gm::run(sc);
+  gm::RunReport report;
+  try {
+    report = gm::run(sc);
+  } catch (const std::invalid_argument& e) {  // sim::run rejected the spec
+    std::fprintf(stderr, "scenario: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scenario: %s\n", e.what());
+    return 1;
+  }
   std::fputs(gm::render_run_summary(report).c_str(), stdout);
 
   if (!csv_path.empty()) {
-    gm::CsvWriter csv(csv_path, gm::scenario_csv_header(report.spec));
-    csv.row(gm::scenario_csv_row(report));
+    try {
+      gm::CsvWriter csv(csv_path, gm::scenario_csv_header(report.spec));
+      csv.row(gm::scenario_csv_row(report));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scenario: %s\n", e.what());
+      return 1;
+    }
     std::printf("\nwrote %s\n", csv_path.c_str());
   }
   if (!json_path.empty()) {

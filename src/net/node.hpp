@@ -110,7 +110,12 @@ class NodeLogic {
         Message m = msg;
         if (!route(site, m)) return;
         trace_event(site, obs::TracePhase::kDelivered, m);
-        site.transport->send(protocol::make_probe_reply(m, load_));
+        Message reply = protocol::make_probe_reply(m, load_);
+        if constexpr (!kSimulated<Transport>) {
+          // A census probe also reads back how many keys this node stores.
+          if (m.probe == protocol::kCensusProbe) reply.value = keys_stored();
+        }
+        site.transport->send(reply);
         return;
       }
       case MsgType::kPlace:
@@ -258,6 +263,9 @@ struct DriverReport {
   /// (real transports only; the DES reads its node objects).
   std::vector<std::uint32_t> loads;
   std::uint32_t max_load = 0;
+  /// Keys holding a value, summed over every node's census reply (real
+  /// transports only).
+  std::uint64_t keys_stored = 0;
   std::uint64_t inserts = 0;
   std::uint64_t lookups = 0;
   /// Forwarding hops the insert probes took, summed over every candidate.
@@ -833,6 +841,7 @@ class ClientDriver {
     census_timer_armed_ = false;
     report_.loads.push_back(m.load);
     if (m.load > report_.max_load) report_.max_load = m.load;
+    report_.keys_stored += m.value;
     ++census_got_;
     advance();
   }

@@ -29,6 +29,7 @@ namespace geochoice::net::protocol {
 
 /// Census probes (a client reading every node's final load) mark the
 /// otherwise-unused probe index 0xff; insert probes use 0 .. d-1 < 16.
+/// A census reply also carries the node's stored key count in `value`.
 inline constexpr std::uint8_t kCensusProbe = 0xff;
 
 /// Requests are served by a node (NodeLogic); everything else is a reply

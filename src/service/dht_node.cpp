@@ -13,7 +13,7 @@
 //     Fork the other N-1 nodes as children, run node 0 plus the
 //     ClientDriver in this process, drive the two-choice insertion
 //     workload (and --lookups measurement lookups), census every node's
-//     final load, print the report, SIGTERM the children, exit 0 only
+//     final load and stored key count, print the report, SIGTERM the children, exit 0 only
 //     if every operation completed. This is the "run it for real" entry
 //     point — and the printed max load is directly comparable to the
 //     NetSimulator oracle for the same --seed/--nodes/--keys/--choices
@@ -200,7 +200,7 @@ int drive(const Options& opt) {
               static_cast<unsigned long long>(r.puts),
               static_cast<unsigned long long>(r.gets),
               static_cast<unsigned long long>(r.get_misses), r.max_load,
-              static_cast<unsigned long long>(node.keys_stored()),
+              static_cast<unsigned long long>(r.keys_stored),
               static_cast<unsigned long long>(r.total_retransmits()),
               static_cast<unsigned long long>(r.data_retransmits),
               static_cast<unsigned long long>(r.census_retries),

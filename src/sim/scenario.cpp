@@ -16,11 +16,11 @@
 #include "net/chord_space.hpp"
 #include "net/cluster.hpp"
 #include "net/message.hpp"
+#include "net/simulator.hpp"
 #include "obs/obs.hpp"
 #include "parallel/trial_runner.hpp"
 #include "rng/streams.hpp"
 #include "sim/cli.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/table_format.hpp"
 #include "spaces/ring_space.hpp"
 #include "spaces/torus_nd_space.hpp"
@@ -359,12 +359,80 @@ void set_trial_seconds(RunReport& report, const std::vector<double>& secs) {
   report.trial_seconds_mean = sum / static_cast<double>(secs.size());
 }
 
+/// kSim trials: each runs NetSimulator::simulate on its own ring, in
+/// parallel with the usual per-trial substream seeding, so the report is
+/// bit-identical for any thread count. Per-trial P² percentile estimates
+/// are averaged over trials (each estimator sees its trial's full
+/// stream). Only trial 0 records into `trace`: the ring buffer is
+/// single-writer, so one representative trial is traced.
+void run_sim_trials(const Scenario& sc, RunReport& report,
+                    obs::TraceRecorder* trace) {
+  struct TimedTrial {
+    net::NetMetrics metrics;
+    double seconds = 0.0;
+  };
+  const net::NetConfig base = wire_net_config(sc);
+  const auto per_trial = parallel::run_trials(
+      sc.trials, sc.seed,
+      [&base, trace](std::uint64_t trial, rng::DefaultEngine& /*unused*/) {
+        net::NetConfig c = base;
+        c.trial = trial;
+        c.trace = trial == 0 ? trace : nullptr;
+        const auto t0 = Clock::now();
+        TimedTrial timed{net::NetSimulator::simulate(c)};
+        timed.seconds =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        return timed;
+      },
+      sc.threads);
+
+  WireMetrics& w = report.wire;
+  const auto t = static_cast<double>(per_trial.size());
+  std::uint64_t inserts = 0, links = 0, probe_hops = 0, stale = 0;
+  const auto by = [](const net::NetMetrics& m, net::MsgType type) {
+    return m.links_by_type[static_cast<std::size_t>(type)];
+  };
+  std::vector<double> trial_seconds;
+  trial_seconds.reserve(per_trial.size());
+  for (const auto& [m, seconds] : per_trial) {
+    trial_seconds.push_back(seconds);
+    report.max_load.add(m.max_load);
+    w.mean_lookup_hops += m.lookup_hops.mean() / t;
+    w.lookup_hops_p50 += m.lookup_hops_q.value(0) / t;
+    w.lookup_hops_p90 += m.lookup_hops_q.value(1) / t;
+    w.lookup_hops_p99 += m.lookup_hops_q.value(2) / t;
+    w.insert_latency_p50 += m.insert_latency_q.value(0) / t;
+    w.insert_latency_p90 += m.insert_latency_q.value(1) / t;
+    w.insert_latency_p99 += m.insert_latency_q.value(2) / t;
+    w.lookup_latency_p50 += m.lookup_latency_q.value(0) / t;
+    w.lookup_latency_p90 += m.lookup_latency_q.value(1) / t;
+    w.lookup_latency_p99 += m.lookup_latency_q.value(2) / t;
+    w.mean_events += static_cast<double>(m.events) / t;
+    w.mean_end_time += m.end_time / t;
+    inserts += m.inserts;
+    // Insert-protocol traversals only; the lookup phase has its own links.
+    links += by(m, net::MsgType::kProbe) + by(m, net::MsgType::kProbeReply) +
+             by(m, net::MsgType::kPlace) + by(m, net::MsgType::kPlaceAck);
+    probe_hops += m.probe_hops;
+    stale += m.stale_reads;
+  }
+  if (inserts > 0) {
+    w.links_per_insert =
+        static_cast<double>(links) / static_cast<double>(inserts);
+    w.probe_hops_per_insert =
+        static_cast<double>(probe_hops) / static_cast<double>(inserts);
+    w.stale_fraction =
+        static_cast<double>(stale) / static_cast<double>(inserts);
+  }
+  set_trial_seconds(report, trial_seconds);
+}
+
 /// kUdp trials: each stands up a fresh loopback cluster. Sequential on
 /// purpose — the trials share the kernel's loopback path and the wall
 /// clock, so parallel trials would contend, not speed up. Per-trial P²
-/// percentile estimates are averaged, mirroring run_net_scenario. Only
-/// trial 0 records into `trace` (matching run_net_scenario's convention,
-/// so sim- and udp-transport traces cover the same slice).
+/// percentile estimates are averaged, as on the kSim path, and only
+/// trial 0 records into `trace`, so sim- and udp-transport traces cover
+/// the same slice.
 void run_udp_trials(const Scenario& sc, RunReport& report,
                     obs::TraceRecorder* trace) {
   WireMetrics& w = report.wire;
@@ -505,27 +573,7 @@ RunReport run_wire(const Scenario& sc) {
   }
 
   if (sc.transport == WireTransport::kSim) {
-    NetScenarioConfig ncfg = net_scenario_config(sc);
-    ncfg.trace = recorder.get();
-    const NetScenarioResult r = run_net_scenario(ncfg);
-    report.max_load = r.max_load;
-    WireMetrics& w = report.wire;
-    w.mean_lookup_hops = r.mean_lookup_hops;
-    w.lookup_hops_p50 = r.lookup_hops_p50;
-    w.lookup_hops_p90 = r.lookup_hops_p90;
-    w.lookup_hops_p99 = r.lookup_hops_p99;
-    w.insert_latency_p50 = r.insert_latency_p50;
-    w.insert_latency_p90 = r.insert_latency_p90;
-    w.insert_latency_p99 = r.insert_latency_p99;
-    w.lookup_latency_p50 = r.lookup_latency_p50;
-    w.lookup_latency_p90 = r.lookup_latency_p90;
-    w.lookup_latency_p99 = r.lookup_latency_p99;
-    w.links_per_insert = r.links_per_insert;
-    w.probe_hops_per_insert = r.probe_hops_per_insert;
-    w.stale_fraction = r.stale_fraction;
-    w.mean_events = r.mean_events;
-    w.mean_end_time = r.mean_end_time;
-    set_trial_seconds(report, r.trial_seconds);
+    run_sim_trials(sc, report, recorder.get());
   } else {
     run_udp_trials(sc, report, recorder.get());
   }
@@ -578,6 +626,19 @@ RunReport run_structural(const Scenario& sc) {
 }
 
 }  // namespace
+
+net::NetConfig wire_net_config(const Scenario& sc) {
+  net::NetConfig cfg;
+  cfg.nodes = static_cast<std::size_t>(sc.num_servers);
+  cfg.keys = sc.balls();
+  cfg.choices = sc.num_choices;
+  cfg.window = sc.window;
+  cfg.tie = sc.tie;
+  cfg.latency = sc.latency;
+  cfg.lookups = sc.lookups;
+  cfg.seed = sc.seed;
+  return cfg;
+}
 
 RunReport run(const Scenario& sc) {
   const bool obs_on = sc.obs || !sc.trace_out.empty();
@@ -802,6 +863,15 @@ std::vector<std::string> scenario_csv_header(const Scenario& spec) {
   for (const double q : spec.quantiles) h.push_back(quantile_label(q));
   h.insert(h.end(), {"max_load_min", "max_load_max", "wall_seconds",
                      "cpu_seconds", "total_seconds", "balls_per_sec"});
+  if (spec.model == ExecModel::kWire) {
+    h.insert(h.end(),
+             {"transport", "latency", "lat_a", "lat_b", "window", "lookups",
+              "mean_lookup_hops", "lookup_hops_p50", "lookup_hops_p90",
+              "lookup_hops_p99", "insert_latency_p50", "insert_latency_p90",
+              "insert_latency_p99", "lookup_latency_p50",
+              "lookup_latency_p90", "lookup_latency_p99", "links_per_insert",
+              "stale_fraction"});
+  }
   return h;
 }
 
@@ -830,6 +900,21 @@ std::vector<std::string> scenario_csv_row(const RunReport& report) {
   row.push_back(format_double(report.cpu_seconds));
   row.push_back(format_double(report.total_seconds));
   row.push_back(format_double(report.balls_per_sec));
+  if (sc.model == ExecModel::kWire) {
+    const WireMetrics& w = report.wire;
+    row.insert(row.end(),
+               {std::string(to_string(sc.transport)),
+                std::string(net::to_string(sc.latency.kind)),
+                format_double(sc.latency.a), format_double(sc.latency.b),
+                std::to_string(sc.window), std::to_string(sc.lookups)});
+    for (const double v :
+         {w.mean_lookup_hops, w.lookup_hops_p50, w.lookup_hops_p90,
+          w.lookup_hops_p99, w.insert_latency_p50, w.insert_latency_p90,
+          w.insert_latency_p99, w.lookup_latency_p50, w.lookup_latency_p90,
+          w.lookup_latency_p99, w.links_per_insert, w.stale_fraction}) {
+      row.push_back(format_double(v));
+    }
+  }
   return row;
 }
 

@@ -43,6 +43,10 @@
 #include "obs/registry.hpp"
 #include "stats/histogram.hpp"
 
+namespace geochoice::net {
+struct NetConfig;
+}  // namespace geochoice::net
+
 namespace geochoice::sim {
 
 class ArgParser;
@@ -154,10 +158,11 @@ struct Scenario {
 
 /// Per-message metrics a wire-model run reports next to the max-load
 /// distribution. Latency/hop percentiles are per-trial P² estimates
-/// averaged over trials (run_net_scenario's aggregation). Units differ by
-/// transport: kSim latencies are simulated time, kUdp latencies are real
-/// microseconds. The hop/event fields are kSim-only (the real cluster does
-/// not trace per-message routing); the datagram counters are kUdp-only.
+/// averaged over trials (each trial's estimator sees that trial's full
+/// stream). Units differ by transport: kSim latencies are simulated time,
+/// kUdp latencies are real microseconds. The hop/event fields are
+/// kSim-only (the real cluster does not trace per-message routing); the
+/// datagram counters are kUdp-only.
 struct WireMetrics {
   bool present = false;  // true iff the report came from ExecModel::kWire
   double mean_lookup_hops = 0.0;
@@ -245,6 +250,12 @@ struct RunReport {
 /// bad dims/quantiles).
 [[nodiscard]] RunReport run(const Scenario& sc);
 
+/// The net::NetConfig a wire-model Scenario runs per kSim trial (trial 0,
+/// untraced): n/m/d/tie, seed, and the net knobs (latency, window,
+/// lookups). run sets `trial` and `trace` per trial, so simulating this
+/// config with trial = t reproduces the run's trial t exactly.
+[[nodiscard]] net::NetConfig wire_net_config(const Scenario& sc);
+
 /// Parse the shared scenario flags over `defaults`, so every binary
 /// exposes identical names and semantics:
 ///   --space=ring|torus|torus-nd|uniform|weighted|chord
@@ -269,8 +280,10 @@ struct RunReport {
 [[nodiscard]] std::string render_run_summary(const RunReport& report);
 
 /// CSV schema: full resolved-spec echo plus the max-load metrics. The
-/// quantile columns mirror spec.quantiles ("p50", "p90", ...), so pass
-/// the same spec whose reports you will write.
+/// quantile columns mirror spec.quantiles ("p50", "p90", ...), and a
+/// wire-model spec appends its net knobs and WireMetrics columns (hop and
+/// latency percentiles, links_per_insert, stale_fraction), so pass the
+/// same spec whose reports you will write.
 [[nodiscard]] std::vector<std::string> scenario_csv_header(
     const Scenario& spec);
 [[nodiscard]] std::vector<std::string> scenario_csv_row(

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <system_error>
 #include <string>
 #include <vector>
 
 #include "sim/cli.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/scenario.hpp"
 
 namespace gm = geochoice::sim;
@@ -368,23 +368,95 @@ gm::Scenario wire_scenario() {
   return sc;
 }
 
+/// FNV-1a fold of the bit patterns of every WireMetrics field and the
+/// max-load histogram's (value, count) pairs.
+std::uint64_t wire_fingerprint(const gm::RunReport& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t w) {
+    h ^= w;
+    h *= 0x100000001b3ULL;
+  };
+  const auto fold_double = [&](double x) {
+    fold(std::bit_cast<std::uint64_t>(x));
+  };
+  const gm::WireMetrics& w = r.wire;
+  fold(w.present ? 1 : 0);
+  fold_double(w.mean_lookup_hops);
+  fold_double(w.lookup_hops_p50);
+  fold_double(w.lookup_hops_p90);
+  fold_double(w.lookup_hops_p99);
+  fold_double(w.insert_latency_p50);
+  fold_double(w.insert_latency_p90);
+  fold_double(w.insert_latency_p99);
+  fold_double(w.lookup_latency_p50);
+  fold_double(w.lookup_latency_p90);
+  fold_double(w.lookup_latency_p99);
+  fold_double(w.links_per_insert);
+  fold_double(w.probe_hops_per_insert);
+  fold_double(w.stale_fraction);
+  fold_double(w.mean_events);
+  fold_double(w.mean_end_time);
+  fold(w.datagrams);
+  fold(w.malformed);
+  fold(w.retransmits);
+  fold(w.data_retransmits);
+  fold(w.census_retries);
+  for (const auto& [value, count] : r.max_load.items()) {
+    fold(value);
+    fold(count);
+  }
+  return h;
+}
+
 }  // namespace
 
-// The front door's kSim path IS run_net_scenario: the bridge maps every
-// Scenario field onto NetScenarioConfig, so the histogram and the wire
-// metrics agree bit-for-bit with a direct call.
-TEST(ScenarioWire, SimPathEqualsRunNetScenario) {
-  const auto sc = wire_scenario();
-  const auto report = gm::run(sc);
-  ASSERT_TRUE(report.wire.present);
-  const auto direct = gm::run_net_scenario(gm::net_scenario_config(sc));
-  EXPECT_EQ(report.max_load, direct.max_load);
-  const auto r = gm::net_scenario_result(report);
-  EXPECT_DOUBLE_EQ(r.stale_fraction, direct.stale_fraction);
-  EXPECT_DOUBLE_EQ(r.links_per_insert, direct.links_per_insert);
-  EXPECT_DOUBLE_EQ(r.insert_latency_p99, direct.insert_latency_p99);
-  EXPECT_DOUBLE_EQ(r.lookup_hops_p50, direct.lookup_hops_p50);
-  EXPECT_DOUBLE_EQ(r.mean_events, direct.mean_events);
+// Every WireMetrics field and the max-load histogram of a multi-trial
+// kSim run, pinned bit for bit: the per-trial aggregation (sum order,
+// division by the trial count) must not drift.
+TEST(ScenarioWire, GoldenWireMetricsFingerprint) {
+  auto sc = wire_scenario();
+  sc.latency = geochoice::net::LatencyModel::uniform(0.5, 1.5);
+  sc.threads = 4;
+  const auto r = gm::run(sc);
+  EXPECT_EQ(wire_fingerprint(r), 0x46c91e3c94ccede3ULL);
+}
+
+// A wire spec's CSV appends the net knobs and WireMetrics columns to the
+// structural schema, and every row still matches its header.
+TEST(ScenarioWire, CsvCarriesTheWireColumns) {
+  const auto r = gm::run(wire_scenario());
+  const auto header = gm::scenario_csv_header(r.spec);
+  const auto row = gm::scenario_csv_row(r);
+  ASSERT_EQ(header.size(), row.size());
+  const auto column = [&](const std::string& name) {
+    const auto it = std::find(header.begin(), header.end(), name);
+    EXPECT_NE(it, header.end()) << name;
+    return it == header.end() ? std::string()
+                              : row[static_cast<std::size_t>(
+                                    it - header.begin())];
+  };
+  EXPECT_EQ(column("space"), "chord");
+  EXPECT_EQ(column("transport"), "sim");
+  EXPECT_EQ(column("latency"), "constant");
+  EXPECT_EQ(column("window"), "4");
+  EXPECT_EQ(column("lookups"), "64");
+  EXPECT_EQ(std::stod(column("mean_max_load")), r.max_load.mean());
+  EXPECT_NEAR(std::stod(column("stale_fraction")), r.wire.stale_fraction,
+              1e-5);
+  EXPECT_NEAR(std::stod(column("links_per_insert")), r.wire.links_per_insert,
+              1e-4);
+  for (const char* name :
+       {"lat_a", "lat_b", "mean_lookup_hops", "lookup_hops_p50",
+        "lookup_hops_p90", "lookup_hops_p99", "insert_latency_p50",
+        "insert_latency_p90", "insert_latency_p99", "lookup_latency_p50",
+        "lookup_latency_p90", "lookup_latency_p99"}) {
+    EXPECT_FALSE(column(name).empty()) << name;
+  }
+  // Structural specs keep the narrower schema.
+  const auto structural = gm::scenario_csv_header(gm::Scenario{});
+  EXPECT_EQ(structural.size() + 18, header.size());
+  EXPECT_EQ(std::find(structural.begin(), structural.end(), "window"),
+            structural.end());
 }
 
 // RunReport::spec reproduces net runs just like structural ones: rerunning

@@ -194,8 +194,11 @@ TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
   EXPECT_EQ(oracle.get_misses, 0u);
   EXPECT_EQ(real.report.puts, oracle.puts);
   EXPECT_EQ(real.report.gets, oracle.gets);
-  // Every inserted key holds exactly one value somewhere in the cluster.
+  // Every inserted key holds exactly one value somewhere in the cluster,
+  // and the census reads the same count back over the wire.
   EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
+  EXPECT_EQ(real.report.keys_stored, real.keys_stored);
+  EXPECT_EQ(real.report.keys_stored, real.report.puts);
   EXPECT_EQ(real.report.get_latency_us_q.count(), ccfg.driver.store_gets);
   EXPECT_EQ(real.malformed, 0u);
 }
