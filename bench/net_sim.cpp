@@ -41,6 +41,7 @@
 // --window/--latency/--lat-a/--lat-b are the swept axes and are rejected.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,9 +57,9 @@ namespace {
 int run_sweep(gm::Scenario sc, std::uint64_t max_window,
               const std::string& csv_path) {
   const std::vector<gn::LatencyModel> models = {
-      gn::LatencyModel::constant(1.0),
-      gn::LatencyModel::uniform(0.5, 1.5),
-      gn::LatencyModel::lognormal(0.0, 1.0),
+      gn::LatencyModel::canonical(gn::LatencyKind::kConstant),
+      gn::LatencyModel::canonical(gn::LatencyKind::kUniform),
+      gn::LatencyModel::canonical(gn::LatencyKind::kLognormal),
   };
   gm::CsvWriter csv(csv_path, gm::scenario_csv_header(sc));
   std::printf("%-10s %8s %14s %14s %14s\n", "latency", "window",
@@ -143,6 +144,10 @@ int main(int argc, char** argv) {
       gm::CsvWriter csv(csv_path, gm::scenario_csv_header(report.spec));
       csv.row(gm::scenario_csv_row(report));
     }
+  } catch (const std::invalid_argument& e) {
+    // sim::run rejected the spec: a usage error, as in the scenario CLI.
+    std::fprintf(stderr, "net_sim: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "net_sim: %s\n", e.what());
     return 1;

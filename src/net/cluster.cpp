@@ -72,6 +72,7 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
   result.report = driver.report();
   for (const auto& t : transports) {
     result.datagrams += t->links().total;
+    result.local_deliveries += t->local_deliveries();
     result.malformed += t->malformed();
     result.send_errors += t->send_errors();
   }

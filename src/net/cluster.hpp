@@ -3,11 +3,13 @@
 // N UdpTransports bound to ephemeral 127.0.0.1 ports, one NodeLogic
 // each, a ClientDriver on node 0, all pumped from the calling thread
 // until the workload (and the closing load census) completes. Every
-// datagram crosses the kernel's loopback path — real sockets, real
-// epoll, real encode/decode — which is exactly what the differential
-// test needs: the same workload under SimTransport must produce the
-// same placements even though these messages genuinely left the
-// process's memory.
+// message between two nodes is a datagram across the kernel's loopback
+// path — real sockets, real epoll, real encode/decode — which is exactly
+// what the differential test needs: the same workload under SimTransport
+// must produce the same placements even though these messages genuinely
+// left the process's memory. A message a node sends to itself (each op's
+// first hop from the client on node 0) stays in-process, as it does in
+// the simulator, and is counted in local_deliveries, not datagrams.
 //
 // The multi-process version of the same ring is the dht_node binary
 // (src/service/dht_node.cpp); this harness exists so tests and
@@ -34,6 +36,9 @@ struct ClusterResult {
   DriverReport report;
   /// Datagrams sent across all nodes' transports.
   std::uint64_t datagrams = 0;
+  /// Sends a node addressed to itself, handed over in-process rather than
+  /// as datagrams; datagrams + local_deliveries counts every send.
+  std::uint64_t local_deliveries = 0;
   /// Received frames that failed wire::decode (should be zero).
   std::uint64_t malformed = 0;
   /// Datagrams the kernel refused to send, summed over every transport

@@ -78,6 +78,19 @@ struct LatencyModel {
       double floor = kDefaultLognormalFloor) noexcept {
     return {LatencyKind::kLognormal, mu, sigma, floor};
   }
+  /// Each kind's default parameters: constant(1), uniform(0.5, 1.5),
+  /// lognormal(0, 1). A CLI that switches the kind starts from these.
+  [[nodiscard]] static LatencyModel canonical(LatencyKind k) noexcept {
+    switch (k) {
+      case LatencyKind::kConstant:
+        return constant(1.0);
+      case LatencyKind::kUniform:
+        return uniform(0.5, 1.5);
+      case LatencyKind::kLognormal:
+        return lognormal(0.0, 1.0);
+    }
+    return constant(1.0);
+  }
 
   /// One link delay. Consumes engine draws even for the constant model only
   /// when needed (constant consumes none), keeping the draw count — and so

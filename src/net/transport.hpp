@@ -25,7 +25,8 @@
 // The DES's cost model lives in SimTransport, not in the handlers:
 //   * an op's first hop — a routed request still at its client, with no
 //     hop taken — is a zero-delay local delivery: no link counted, no
-//     delay drawn. A real node sends that datagram to itself;
+//     delay drawn. UdpTransport does the same for every message a node
+//     addresses to itself: an in-process hand-over, never a datagram;
 //   * every message arrives exactly once, so timers never fire;
 //   * link sends draw from the latency engine in send() order, the order
 //     the pinned golden trace hashes fix.

@@ -91,6 +91,13 @@ void UdpTransport::send(const Message& m) {
     throw std::logic_error("UdpTransport::send: no endpoint for node " +
                            std::to_string(m.at));
   }
+  // A message to this node never leaves the process: no datagram, no
+  // link, just the next poll()'s local queue.
+  if (m.at == self_) {
+    ++local_deliveries_;
+    deliver_local(m);
+    return;
+  }
   links_.count(m.type);
   const wire::Frame f = wire::encode(m);
   const sockaddr_in addr = to_sockaddr(peers_[m.at]);

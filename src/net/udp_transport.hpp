@@ -15,9 +15,10 @@
 // its `at` node, deliver locally, schedule / cancel a timer, read the
 // clock. What differs is the world behind it: there is no global clock,
 // so poll() pumps the socket and the wheel instead of a drive loop
-// popping a queue; an op's first hop is a real datagram to the node's
-// own socket; and timers fire, through their own callback, because
-// datagrams get lost.
+// popping a queue; a message a node addresses to itself (an op's first
+// hop, a reply to a client on the owner's own node) never enters the
+// kernel but waits on an in-process queue for the next poll(); and
+// timers fire, through their own callback, because datagrams get lost.
 //
 // Thread model: single-threaded, like the node it serves. Everything —
 // send, poll, timers — happens on the caller's one event-loop thread.
@@ -64,7 +65,9 @@ class UdpTransport {
   /// network's business — reliability is the protocol's retransmit
   /// timers, not the transport's. A datagram the kernel refuses (full
   /// socket buffer, unreachable or forbidden address) is counted in
-  /// send_errors(), not thrown.
+  /// send_errors(), not thrown. A message to self() is not a datagram:
+  /// it goes onto the local queue, as deliver_local does, and is counted
+  /// in local_deliveries(), not in links().
   void send(const Message& m);
 
   /// Local delivery without touching the wire: queued and handed to the
@@ -87,7 +90,7 @@ class UdpTransport {
   /// Message&).
   template <typename OnMessage, typename OnTimer>
   void poll(int timeout_ms, OnMessage&& on_message, OnTimer&& on_timer) {
-    // Swap out the local queue first: handlers may deliver_local again,
+    // Swap out the local queue first: handlers may send to self again,
     // and those land in the *next* round, keeping this loop finite.
     scratch_.clear();
     scratch_.swap(local_);
@@ -103,6 +106,11 @@ class UdpTransport {
   /// Wire-cost counters, same meaning as SimTransport's: datagrams sent,
   /// by message type.
   [[nodiscard]] const LinkCounters& links() const noexcept { return links_; }
+  /// Sends addressed to self() and handed over in-process instead of as
+  /// datagrams; links().total + local_deliveries() counts every send().
+  [[nodiscard]] std::uint64_t local_deliveries() const noexcept {
+    return local_deliveries_;
+  }
   /// Datagrams received that failed wire::decode (noise, truncation,
   /// version skew). A healthy loopback cluster keeps this at zero.
   [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_; }
@@ -134,6 +142,7 @@ class UdpTransport {
   std::vector<Message> scratch_;
   TimerWheel<Message> wheel_;
   LinkCounters links_;
+  std::uint64_t local_deliveries_ = 0;
   std::uint64_t malformed_ = 0;
   std::uint64_t send_errors_ = 0;
 };

@@ -10,14 +10,15 @@
 //     peer list is just the port arithmetic.
 //
 //   Cluster driver:  dht_node --cluster=4 --keys=512 --port-base=9200
-//     Fork the other N-1 nodes as children, run node 0 plus the
-//     ClientDriver in this process, drive the two-choice insertion
-//     workload (and --lookups measurement lookups), census every node's
-//     final load and stored key count, print the report, SIGTERM the children, exit 0 only
-//     if every operation completed. This is the "run it for real" entry
-//     point — and the printed max load is directly comparable to the
-//     NetSimulator oracle for the same --seed/--nodes/--keys/--choices
-//     with a deterministic --tie.
+//     Fork the other N-1 nodes as children, wait until each has bound
+//     its socket (one byte on a pipe per child, within --timeout-ms), run
+//     node 0 plus the ClientDriver in this process, drive the two-choice
+//     insertion workload (and --lookups measurement lookups), census
+//     every node's final load and stored key count, print the report,
+//     SIGTERM the children, exit 0 only if every operation completed.
+//     This is the "run it for real" entry point — and the printed max
+//     load is directly comparable to the NetSimulator oracle for the same
+//     --seed/--nodes/--keys/--choices with a deterministic --tie.
 //
 // Flags (shared): --nodes, --port-base, --seed, --trial, --choices,
 // --tie (first|lowest|random), --keys, --lookups, --gets, --zipf,
@@ -29,11 +30,16 @@
 // Observability: with --heartbeat-ms=N every process prints a one-line
 // stats heartbeat to stderr every N ms of transport time; SIGUSR1 dumps
 // the same line immediately (servers and the driver both install it).
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <poll.h>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -82,10 +88,12 @@ void print_stats(const char* why, std::uint32_t id,
                  const net::NodeLogic<net::UdpTransport>& node) {
   std::fprintf(stderr,
                "dht_node[%u] %s: t=%llums datagrams_out=%llu "
-               "send_errors=%llu malformed=%llu load=%u keys_stored=%llu\n",
+               "local_deliveries=%llu send_errors=%llu malformed=%llu "
+               "load=%u keys_stored=%llu\n",
                id, why,
                static_cast<unsigned long long>(transport.now_ms()),
                static_cast<unsigned long long>(transport.links().total),
+               static_cast<unsigned long long>(transport.local_deliveries()),
                static_cast<unsigned long long>(transport.send_errors()),
                static_cast<unsigned long long>(transport.malformed()),
                node.load(),
@@ -111,12 +119,20 @@ std::vector<net::Endpoint> make_peers(const Options& opt) {
 }
 
 /// Serve one node until a termination signal. Used by standalone server
-/// processes and by the forked children of cluster mode.
-int serve(const Options& opt) {
+/// processes and by the forked children of cluster mode, which pass the
+/// write end of a pipe as `ready_fd`: one byte on it says the socket is
+/// bound, so the driver's first datagram cannot arrive before it.
+int serve(const Options& opt, int ready_fd = -1) {
   const auto ring = make_ring(opt);
   net::UdpTransport transport(
       opt.id, static_cast<std::uint16_t>(opt.port_base + opt.id));
   transport.set_peers(make_peers(opt));
+  if (ready_fd >= 0) {
+    const char byte = 1;
+    while (write(ready_fd, &byte, 1) < 0 && errno == EINTR) {
+    }
+    close(ready_fd);
+  }
   net::NodeLogic<net::UdpTransport> node(ring, opt.id, transport);
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
@@ -194,7 +210,8 @@ int drive(const Options& opt) {
               "get_misses=%llu max_load=%u keys_stored=%llu "
               "retransmits=%llu data_retransmits=%llu census_retries=%llu "
               "ignored_replies=%llu "
-              "datagrams_out=%llu send_errors=%llu malformed=%llu\n",
+              "datagrams_out=%llu local_deliveries=%llu send_errors=%llu "
+              "malformed=%llu\n",
               opt.nodes, static_cast<unsigned long long>(r.inserts),
               static_cast<unsigned long long>(r.lookups),
               static_cast<unsigned long long>(r.puts),
@@ -206,6 +223,7 @@ int drive(const Options& opt) {
               static_cast<unsigned long long>(r.census_retries),
               static_cast<unsigned long long>(r.ignored_replies),
               static_cast<unsigned long long>(transport.links().total),
+              static_cast<unsigned long long>(transport.local_deliveries()),
               static_cast<unsigned long long>(transport.send_errors()),
               static_cast<unsigned long long>(transport.malformed()));
   std::printf("insert_latency_us: mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
@@ -229,8 +247,39 @@ int drive(const Options& opt) {
   return complete ? 0 : 1;
 }
 
-/// Fork the ring, drive it, tear it down.
+/// Block until `expected` ready bytes have arrived on `fd` or `timeout_ms`
+/// has passed; false on timeout or when every writer closed early (a
+/// child that failed to bind).
+bool await_ready(int fd, std::size_t expected, std::uint64_t timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::size_t got = 0;
+  while (got < expected) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    const int ready = poll(&p, 1, static_cast<int>(std::min<long long>(
+                                      left, std::numeric_limits<int>::max())));
+    if (ready < 0 && errno != EINTR) return false;
+    if (ready <= 0) continue;
+    char buf[64];
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n == 0) return false;
+    if (n > 0) got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Fork the ring, wait until every child has bound its socket, drive it,
+/// tear it down.
 int run_cluster(const Options& opt) {
+  int ready[2];
+  if (pipe(ready) != 0) {
+    std::perror("dht_node: pipe");
+    return 1;
+  }
   std::vector<pid_t> children;
   children.reserve(opt.nodes - 1);
   for (std::size_t i = 1; i < opt.nodes; ++i) {
@@ -241,17 +290,30 @@ int run_cluster(const Options& opt) {
       return 1;
     }
     if (pid == 0) {
+      close(ready[0]);
       Options child = opt;
       child.id = static_cast<std::uint32_t>(i);
-      _exit(serve(child));
+      try {
+        _exit(serve(child, ready[1]));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "dht_node[%zu]: %s\n", i, e.what());
+        _exit(2);
+      }
     }
     children.push_back(pid);
   }
+  close(ready[1]);
+  const bool all_bound = await_ready(ready[0], children.size(), opt.timeout_ms);
+  close(ready[0]);
   int rc = 1;
-  try {
-    rc = drive(opt);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dht_node: %s\n", e.what());
+  if (!all_bound) {
+    std::fprintf(stderr, "dht_node: not every node bound its socket\n");
+  } else {
+    try {
+      rc = drive(opt);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dht_node: %s\n", e.what());
+    }
   }
   for (const pid_t c : children) kill(c, SIGTERM);
   for (const pid_t c : children) {

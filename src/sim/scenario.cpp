@@ -439,7 +439,7 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
   double ins_p50 = 0.0, ins_p90 = 0.0, ins_p99 = 0.0;
   double look_p50 = 0.0, look_p90 = 0.0, look_p99 = 0.0;
   std::uint64_t ins_trials = 0, look_trials = 0;
-  std::uint64_t inserts = 0, stale = 0;
+  std::uint64_t inserts = 0, stale = 0, local_deliveries = 0;
   double sum_elapsed = 0.0;
   std::vector<double> trial_seconds;
   trial_seconds.reserve(sc.trials);
@@ -461,6 +461,7 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
 
     report.max_load.add(res.report.max_load);
     w.datagrams += res.datagrams;
+    local_deliveries += res.local_deliveries;
     w.malformed += res.malformed;
     w.data_retransmits += res.report.data_retransmits;
     w.census_retries += res.report.census_retries;
@@ -503,6 +504,7 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
   set_trial_seconds(report, trial_seconds);
   if (obs::enabled()) {
     static const obs::Counter c_datagrams("cluster.datagrams");
+    static const obs::Counter c_local("cluster.local_deliveries");
     static const obs::Counter c_malformed("cluster.malformed");
     static const obs::Counter c_inserts("cluster.inserts");
     static const obs::Counter c_lookups("cluster.lookups");
@@ -510,6 +512,7 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
     static const obs::Counter c_data_rtx("cluster.data_retransmits");
     static const obs::Counter c_census("cluster.census_retries");
     c_datagrams.add(w.datagrams);
+    c_local.add(local_deliveries);
     c_malformed.add(w.malformed);
     c_inserts.add(inserts);
     c_lookups.add(sc.lookups * sc.trials);
@@ -715,8 +718,11 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
       args.get_string("model", std::string(to_string(sc.model))));
   sc.transport = wire_transport_from_string(
       args.get_string("transport", std::string(to_string(sc.transport))));
-  sc.latency.kind = net::latency_kind_from_string(args.get_string(
+  // A new kind starts from its own default (a, b): another kind's
+  // parameters mean something else (constant's b = 0 is no uniform hi).
+  const net::LatencyKind kind = net::latency_kind_from_string(args.get_string(
       "latency", std::string(net::to_string(sc.latency.kind))));
+  if (kind != sc.latency.kind) sc.latency = net::LatencyModel::canonical(kind);
   sc.latency.a = args.get_double("lat-a", sc.latency.a);
   sc.latency.b = args.get_double("lat-b", sc.latency.b);
   sc.window = static_cast<std::uint32_t>(

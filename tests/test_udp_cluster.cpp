@@ -150,6 +150,12 @@ TEST(UdpCluster, CensusLoadsAccountForEveryInsert) {
   EXPECT_EQ(real.report.lookups, ccfg.driver.lookups);
   EXPECT_EQ(real.report.insert_latency_us_q.count(), ccfg.driver.inserts);
   EXPECT_GT(real.datagrams, 0u);
+  // Every op's first hop leaves the client on node 0 addressed to node 0:
+  // each insert's probes and each lookup stay in-process.
+  EXPECT_GE(real.local_deliveries,
+            static_cast<std::uint64_t>(ccfg.driver.choices) *
+                    ccfg.driver.inserts +
+                ccfg.driver.lookups);
 }
 
 TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
@@ -238,10 +244,14 @@ TEST(UdpCluster, TraceRecorderSeesRealDatagramLifecycles) {
   EXPECT_GE(delivered, ccfg.driver.inserts + ccfg.driver.lookups);
 }
 
-TEST(UdpCluster, SingleNodeClusterServesItself) {
+TEST(UdpCluster, SingleNodeClusterSendsNoDatagrams) {
+  // One node is its own client, router and owner: every message is
+  // addressed to itself, so nothing crosses the kernel.
   net::ClusterConfig ccfg;
   ccfg.nodes = 1;
   ccfg.driver.inserts = 8;
+  ccfg.driver.lookups = 4;
+  ccfg.driver.store_gets = 4;
   ccfg.driver.seed = kSeed;
 
   net::ClusterResult real;
@@ -250,23 +260,79 @@ TEST(UdpCluster, SingleNodeClusterServesItself) {
   } catch (const std::system_error&) {
     return;
   }
+  EXPECT_EQ(real.datagrams, 0u);
   ASSERT_EQ(real.report.loads.size(), 1u);
-  EXPECT_EQ(real.report.loads[0], 8u);
-  EXPECT_EQ(real.report.max_load, 8u);
+  EXPECT_EQ(real.report.loads[0], ccfg.driver.inserts);
+  EXPECT_EQ(real.report.max_load, ccfg.driver.inserts);
+  EXPECT_EQ(real.report.lookups, ccfg.driver.lookups);
+  EXPECT_EQ(real.report.gets, ccfg.driver.store_gets);
+  EXPECT_EQ(real.report.get_misses, 0u);
+  EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
+  EXPECT_GE(real.local_deliveries,
+            static_cast<std::uint64_t>(ccfg.driver.choices) *
+                    ccfg.driver.inserts +
+                ccfg.driver.lookups);
+}
+
+TEST(UdpTransport, SelfAddressedSendStaysInProcess) {
+  std::unique_ptr<net::UdpTransport> t;
+  try {
+    t = std::make_unique<net::UdpTransport>(1, 0);
+  } catch (const std::system_error&) {
+    GTEST_SKIP() << "loopback sockets unavailable";
+  }
+  // Node 1's table points both ids at its own socket, so a datagram to
+  // node 0 lands back here: the control that the socket is live.
+  t->set_peers({net::Endpoint{0x7f000001u, t->port()},
+                net::Endpoint{0x7f000001u, t->port()}});
+  net::Message m;
+  m.type = net::MsgType::kProbe;
+  m.at = 1;
+  m.op = 42;
+  t->send(m);
+  EXPECT_EQ(t->links().total, 0u);
+  EXPECT_EQ(t->local_deliveries(), 1u);
+
+  std::vector<std::uint64_t> seen;
+  const auto on_message = [&](const net::Message& got) {
+    seen.push_back(got.op);
+  };
+  const auto no_timer = [](const net::Message&) {};
+  t->poll(0, on_message, no_timer);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], 42u);
+  // Exactly once: the message was in-process only, the socket is empty.
+  t->poll(20, on_message, no_timer);
+  EXPECT_EQ(seen.size(), 1u);
+
+  m.at = 0;
+  m.op = 7;
+  t->send(m);
+  EXPECT_EQ(t->links().total, 1u);
+  EXPECT_EQ(t->local_deliveries(), 1u);
+  for (int i = 0; i < 50 && seen.size() < 2; ++i) {
+    t->poll(20, on_message, no_timer);
+  }
+  ASSERT_EQ(seen.size(), 2u);  // the datagram did cross the socket
+  EXPECT_EQ(seen[1], 7u);
+  EXPECT_EQ(t->malformed(), 0u);
+  EXPECT_EQ(t->send_errors(), 0u);
 }
 
 TEST(UdpTransport, RefusedSendsAreCounted) {
   // The limited broadcast address needs SO_BROADCAST, which the transport
   // never sets: the kernel refuses the datagram with EACCES every time.
-  // Loopback to the transport's own port succeeds.
+  // Loopback to the transport's own port succeeds. The transport is node
+  // 2, so sends to nodes 0 and 1 are datagrams, not self-deliveries.
   std::unique_ptr<net::UdpTransport> t;
   try {
-    t = std::make_unique<net::UdpTransport>(0, 0);
+    t = std::make_unique<net::UdpTransport>(2, 0);
   } catch (const std::system_error&) {
     GTEST_SKIP() << "loopback sockets unavailable";
   }
-  t->set_peers({net::Endpoint{0xffffffffu, 9}, net::Endpoint{0x7f000001u,
-                                                             t->port()}});
+  t->set_peers({net::Endpoint{0xffffffffu, 9},
+                net::Endpoint{0x7f000001u, t->port()},
+                net::Endpoint{0x7f000001u, t->port()}});
   net::Message m;
   m.at = 0;
   t->send(m);
@@ -276,6 +342,7 @@ TEST(UdpTransport, RefusedSendsAreCounted) {
   t->send(m);
   EXPECT_EQ(t->send_errors(), 2u);
   EXPECT_EQ(t->links().total, 3u);  // attempts, refused ones included
+  EXPECT_EQ(t->local_deliveries(), 0u);
 }
 
 }  // namespace
