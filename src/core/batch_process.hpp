@@ -32,8 +32,6 @@
 
 #include "core/placement.hpp"
 #include "core/process.hpp"
-#include "core/slab_pool.hpp"
-#include "parallel/trial_runner.hpp"
 #include "rng/block_sampler.hpp"
 #include "spaces/ring_space.hpp"
 #include "spaces/space.hpp"
@@ -48,8 +46,9 @@ struct BatchOptions {
   std::size_t block_size = 1024;
 };
 
-/// Reusable per-worker buffers so Monte-Carlo sweeps don't re-allocate per
-/// trial (see run_batch_trials).
+/// Reusable location/bin buffers: a caller running many trials passes one
+/// to run_batch_process so repeated runs stop re-allocating. Contents never
+/// influence results (each block resizes before writing).
 template <typename Location>
 struct BatchScratch {
   std::vector<Location> locations;
@@ -167,51 +166,6 @@ template <spaces::GeometricSpace S>
     done += cur;
   }
   return result;
-}
-
-/// Monte-Carlo sweep over the batched engine: `trials` independent runs
-/// with engines derived exactly as parallel::run_trials derives them, so
-/// results are bit-identical for any thread count. Worker blocks lease
-/// their BatchScratch from a SlabPool, so buffer allocations are bounded
-/// by the number of *concurrently running* blocks (<= workers), not the
-/// block count, and a finished block's warmed-up buffers are reused by
-/// the next block that acquires them. Scratch contents never influence
-/// results (each block resizes before writing), so the recycling cannot
-/// perturb the bit-identical-to-run_process guarantee the differential
-/// tests pin.
-template <spaces::GeometricSpace S>
-[[nodiscard]] std::vector<ProcessResult> run_batch_trials(
-    const S& space, const ProcessOptions& opt, std::uint64_t trials,
-    std::uint64_t master_seed, std::size_t threads = 0,
-    const BatchOptions& batch = {}) {
-  std::vector<ProcessResult> results(trials);
-  parallel::ThreadPool pool(threads);
-  SlabPool<BatchScratch<typename S::Location>> scratch_pool;
-  parallel::parallel_for_blocks(
-      pool, 0, trials, [&](std::size_t lo, std::size_t hi) {
-        const auto scratch = scratch_pool.acquire();
-        for (std::size_t t = lo; t < hi; ++t) {
-          auto engine = rng::make_trial_engine(master_seed, t);
-          results[t] = run_batch_process(space, opt, engine, batch,
-                                         scratch.get());
-        }
-      });
-  return results;
-}
-
-/// Convenience: per-trial max loads from the batched engine (the quantity
-/// the paper's tables tabulate).
-template <spaces::GeometricSpace S>
-[[nodiscard]] std::vector<std::uint32_t> batch_max_loads(
-    const S& space, const ProcessOptions& opt, std::uint64_t trials,
-    std::uint64_t master_seed, std::size_t threads = 0,
-    const BatchOptions& batch = {}) {
-  const auto runs = run_batch_trials(space, opt, trials, master_seed, threads,
-                                     batch);
-  std::vector<std::uint32_t> maxima(runs.size());
-  std::transform(runs.begin(), runs.end(), maxima.begin(),
-                 [](const ProcessResult& r) { return r.max_load; });
-  return maxima;
 }
 
 // The canonical spaces are instantiated once in batch_process.cpp; other

@@ -50,7 +50,6 @@ void ChordRing::build_fingers(int fingers) {
   }
   fingers_per_node_ = fingers;
   const auto f = static_cast<std::size_t>(fingers);
-  fingers_.assign(n * f, 0);
   // Finger k of node i is successor(wrap01(id_i + 2^{-(k+1)})): k = 0 is
   // the halfway finger, larger k are progressively closer (Chord's table,
   // normalized). For a fixed k the targets rise with i until they pass
@@ -71,26 +70,7 @@ void ChordRing::build_fingers(int fingers) {
   std::vector<double> keys(n + 1, 2.0);
   std::copy(ids_.begin(), ids_.end(), keys.begin());
   const double* const key = keys.data();
-  std::uint32_t* out = fingers_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double id = key[i];
-    for (Level& level : levels) {
-      double target = id + level.span;
-      if (target >= 1.0) {  // wrap01 on [0, 2): exact, no floor needed
-        target -= 1.0;
-        if (!level.wrapped) {
-          level.wrapped = true;
-          level.cursor = 0;
-        }
-      }
-      std::size_t j = level.cursor;
-      j += static_cast<std::size_t>(key[j] < target);
-      j += static_cast<std::size_t>(key[j] < target);
-      while (key[j] < target) ++j;
-      level.cursor = j;
-      *out++ = static_cast<std::uint32_t>(j == n ? 0 : j);
-    }
-  }
+  std::vector<std::uint32_t> finger(f);  // node i's fingers, level order
 
   // Each node's next-hop candidates (successor link + fingers) by
   // descending progress, so next_hop() is a first-hit scan instead of a
@@ -105,6 +85,25 @@ void ChordRing::build_fingers(int fingers) {
   hop_progress_.assign(n * stride, 2.0);  // 2.0: sentinel no ring_gap hits
   hop_node_.assign(n * stride, 0);
   for (std::size_t i = 0; i < n; ++i) {
+    const double id = key[i];
+    for (std::size_t k = 0; k < f; ++k) {
+      Level& level = levels[k];
+      double target = id + level.span;
+      if (target >= 1.0) {  // wrap01 on [0, 2): exact, no floor needed
+        target -= 1.0;
+        if (!level.wrapped) {
+          level.wrapped = true;
+          level.cursor = 0;
+        }
+      }
+      std::size_t j = level.cursor;
+      j += static_cast<std::size_t>(key[j] < target);
+      j += static_cast<std::size_t>(key[j] < target);
+      while (key[j] < target) ++j;
+      level.cursor = j;
+      finger[k] = static_cast<std::uint32_t>(j == n ? 0 : j);
+    }
+
     double* const prog = hop_progress_.data() + i * stride;
     std::uint32_t* const node = hop_node_.data() + i * stride;
     std::size_t len = 0;
@@ -130,7 +129,7 @@ void ChordRing::build_fingers(int fingers) {
       ++len;
     };
     place(static_cast<std::uint32_t>((i + 1) % n));
-    for (std::size_t k = 0; k < f; ++k) place(fingers_[i * f + k]);
+    for (const std::uint32_t cand : finger) place(cand);
   }
 }
 

@@ -19,16 +19,16 @@
 //   * successor(key): O(log n), a lower_bound over the sorted ids.
 //   * build_fingers(): O(n F). Each finger level is resolved by one cursor
 //     sweeping the sorted ids (targets id_i + 2^-(k+1) rise with i and wrap
-//     once), and the next-hop rows are insertion-placed in finger order,
-//     which already has falling progress. Measured on a 4-vCPU Xeon VM
-//     (gcc 12, Release): NetSimulator::make_ring takes ~0.5 us/node at
-//     n = 2^14 and ~0.75 s at n = 2^20 (1.3 us/node and 2.3 s with a
-//     std::sort and a binary search per finger).
+//     once), and node i's fingers go straight into its next-hop row,
+//     insertion-placed in finger order, which already has falling
+//     progress; the rows are the only finger state kept. Measured on a
+//     4-vCPU Xeon VM (gcc 12, Release): NetSimulator::make_ring takes
+//     ~0.5 us/node at n = 2^14 and ~0.75 s at n = 2^20 (1.3 us/node and
+//     2.3 s with a std::sort and a binary search per finger).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -72,26 +72,14 @@ class ChordRing {
 
   /// Build finger tables. Finger k of node i points to
   /// successor(id_i + 2^{-(k+1)}), k = 0 .. fingers-1; `fingers` defaults to
-  /// ceil(log2 n) + 1. Must be called before lookup().
+  /// ceil(log2 n) + 1. The fingers are kept only as node i's next-hop row
+  /// (hop_node_row). Must be called before lookup().
   void build_fingers(int fingers = 0);
   [[nodiscard]] bool has_fingers() const noexcept {
     return fingers_per_node_ > 0;
   }
   [[nodiscard]] int fingers_per_node() const noexcept {
     return fingers_per_node_;
-  }
-
-  /// Finger k of node i (the node successor(id_i + 2^{-(k+1)}) resolved at
-  /// build_fingers() time). Requires build_fingers().
-  [[nodiscard]] std::uint32_t finger(std::uint32_t i, int k) const {
-    if (k < 0 || k >= fingers_per_node_) {
-      throw std::logic_error(
-          "ChordRing::finger: call build_fingers() first / finger index "
-          "out of range");
-    }
-    return fingers_[static_cast<std::size_t>(i) *
-                        static_cast<std::size_t>(fingers_per_node_) +
-                    static_cast<std::size_t>(k)];
   }
 
   /// Node i's presorted next-hop row (see hop_progress_ below): progress
@@ -125,7 +113,6 @@ class ChordRing {
 
  private:
   std::vector<double> ids_;      // sorted
-  std::vector<std::uint32_t> fingers_;  // node_count * fingers_per_node_
   int fingers_per_node_ = 0;
   /// Routing acceleration, built by build_fingers(): per node, its
   /// candidate next hops (successor link + fingers, self and duplicates

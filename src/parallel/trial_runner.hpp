@@ -34,20 +34,4 @@ template <typename Fn,
   return results;
 }
 
-/// Run trials on an existing pool (avoids pool churn across sweeps).
-template <typename Fn,
-          typename R = std::invoke_result_t<Fn, std::uint64_t,
-                                            rng::DefaultEngine&>>
-[[nodiscard]] std::vector<R> run_trials_on(ThreadPool& pool,
-                                           std::uint64_t trials,
-                                           std::uint64_t master_seed,
-                                           Fn&& fn) {
-  std::vector<R> results(trials);
-  parallel_for(pool, 0, trials, [&](std::size_t t) {
-    auto engine = rng::make_trial_engine(master_seed, t);
-    results[t] = fn(static_cast<std::uint64_t>(t), engine);
-  });
-  return results;
-}
-
 }  // namespace geochoice::parallel

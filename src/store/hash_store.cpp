@@ -34,7 +34,7 @@ HashStore::HashStore(std::size_t initial_capacity) {
 
 void HashStore::init_table(Table& t, std::size_t buckets) {
   t.keys.assign(buckets, 0);
-  t.refs.assign(buckets, ValueRef{});
+  t.values.assign(buckets, 0);
   t.hops.assign(buckets, 0);
   t.used.assign(buckets, 0);
   t.mask = buckets - 1;
@@ -65,7 +65,7 @@ std::size_t HashStore::insert_key(Table& t, std::uint64_t key,
       if (bit >= off) continue;  // nothing homed at base sits before free
       const std::size_t from = (base + bit) & t.mask;
       t.keys[free] = t.keys[from];
-      t.refs[free] = t.refs[from];
+      t.values[free] = t.values[from];
       t.used[free] = 1;
       t.used[from] = 0;
       t.hops[base] = (word & ~(1u << bit)) | (1u << off);
@@ -84,31 +84,20 @@ std::size_t HashStore::insert_key(Table& t, std::uint64_t key,
   return free;
 }
 
-void HashStore::set_value(std::size_t idx, Table& t,
-                          std::span<const std::uint8_t> value) {
-  if (!t.refs[idx].null()) arena_.release(t.refs[idx]);
-  t.refs[idx] = arena_.store(value);
-}
-
-bool HashStore::put(std::uint64_t key, std::span<const std::uint8_t> value) {
-  // Reject oversize values before touching any state: a throw from deeper
-  // in (after the key is already in a table) would leave a half-insert.
-  if (value.size() > ValueArena::kMaxValueBytes) {
-    throw std::invalid_argument("HashStore: value larger than 256 bytes");
-  }
+bool HashStore::put_u64(std::uint64_t key, std::uint64_t value) {
   static const obs::Counter c_puts("store.puts");
   c_puts.add(1);
   migrate_some(kMigrateBatch);
 
   // Overwrite in place when the key is already present (either table).
   if (std::size_t idx = live_.find(key); idx != kNpos) {
-    set_value(idx, live_, value);
+    live_.values[idx] = value;
     ++stats_.overwrites;
     return false;
   }
   if (migrating_) {
     if (std::size_t idx = old_.find(key); idx != kNpos) {
-      set_value(idx, old_, value);
+      old_.values[idx] = value;
       ++stats_.overwrites;
       return false;
     }
@@ -128,21 +117,14 @@ bool HashStore::put(std::uint64_t key, std::span<const std::uint8_t> value) {
       if (idx == kNpos) throw std::logic_error("HashStore: insert failed");
     }
   }
-  live_.refs[idx] = arena_.store(value);
+  live_.values[idx] = value;
   ++size_;
   ++stats_.puts;
   probe_len_histogram().observe(static_cast<double>(dist) + 1.0);
   return true;
 }
 
-bool HashStore::put_u64(std::uint64_t key, std::uint64_t value) {
-  std::uint8_t buf[sizeof value];
-  std::memcpy(buf, &value, sizeof value);
-  return put(key, std::span<const std::uint8_t>(buf, sizeof buf));
-}
-
-std::optional<std::span<const std::uint8_t>> HashStore::get(
-    std::uint64_t key) {
+std::optional<std::uint64_t> HashStore::get_u64(std::uint64_t key) {
   static const obs::Counter c_gets("store.gets");
   static const obs::Counter c_misses("store.misses");
   c_gets.add(1);
@@ -150,28 +132,17 @@ std::optional<std::span<const std::uint8_t>> HashStore::get(
   ++stats_.gets;
   if (std::size_t idx = live_.find(key); idx != kNpos) {
     ++stats_.hits;
-    return arena_.load(live_.refs[idx]);
+    return live_.values[idx];
   }
   if (migrating_) {
     if (std::size_t idx = old_.find(key); idx != kNpos) {
       ++stats_.hits;
-      return arena_.load(old_.refs[idx]);
+      return old_.values[idx];
     }
   }
   ++stats_.misses;
   c_misses.add(1);
   return std::nullopt;
-}
-
-std::optional<std::uint64_t> HashStore::get_u64(std::uint64_t key) {
-  const auto bytes = get(key);
-  if (!bytes.has_value()) return std::nullopt;
-  if (bytes->size() != sizeof(std::uint64_t)) {
-    throw std::logic_error("HashStore: value is not a u64");
-  }
-  std::uint64_t v = 0;
-  std::memcpy(&v, bytes->data(), sizeof v);
-  return v;
 }
 
 bool HashStore::erase(std::uint64_t key) {
@@ -185,8 +156,6 @@ bool HashStore::erase(std::uint64_t key) {
     if (idx != kNpos) t = &old_;
   }
   if (t == nullptr) return false;
-  arena_.release(t->refs[idx]);
-  t->refs[idx] = ValueRef{};
   t->clear_bucket(idx, key);
   if (t == &old_) --old_live_;
   --size_;
@@ -226,7 +195,7 @@ void HashStore::migrate_some(std::size_t budget) {
       rehash_all(live_.keys.size() * 2);
       return;
     }
-    live_.refs[idx] = old_.refs[i];
+    live_.values[idx] = old_.values[i];
     old_.used[i] = 0;
     --old_live_;
     ++stats_.migrated;
@@ -253,7 +222,7 @@ void HashStore::rehash_all(std::size_t new_buckets) {
       if (idx == kNpos) {
         throw std::logic_error("HashStore: rehash displacement failed");
       }
-      fresh.refs[idx] = from.refs[i];
+      fresh.values[idx] = from.values[i];
     }
   };
   move_all(live_);

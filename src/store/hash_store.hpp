@@ -1,4 +1,4 @@
-// hash_store.hpp — a flat open-addressing key-value store with hopscotch
+// hash_store.hpp — a flat open-addressing u64 -> u64 store with hopscotch
 // neighborhoods (the Hydra HashTable/Hopscotch.hpp idiom).
 //
 // Layout: power-of-two bucket array, each bucket carrying a 32-bit hop
@@ -9,19 +9,18 @@
 //
 // Resizes are incremental: grow() allocates a double-size table and every
 // subsequent public operation migrates a bounded batch of old buckets, so
-// no put/get ever pays a full rehash. Values live on ValueArena slabs
-// (generation-checked handles, slab memory never freed), which makes the
-// warmed steady state allocation-free — allocations() exposes the pin.
+// no put/get ever pays a full rehash. Each value is the wire frame's one
+// 8-byte `value` field and sits inline beside its key, moving with it on
+// displacement and migration; only growth allocates, so the warmed steady
+// state is allocation-free — allocations() exposes the pin.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "rng/splitmix64.hpp"
-#include "store/value_arena.hpp"
 
 namespace geochoice::store {
 
@@ -46,22 +45,11 @@ class HashStore {
 
   explicit HashStore(std::size_t initial_capacity = 128);
 
-  // Move-only, and explicitly so: vector<unique_ptr> members report as
-  // copy-constructible by trait, which would steer move_if_noexcept into
-  // the (ill-formed) copy when a HashStore owner lives in a vector.
-  HashStore(const HashStore&) = delete;
-  HashStore& operator=(const HashStore&) = delete;
-  HashStore(HashStore&&) noexcept = default;
-  HashStore& operator=(HashStore&&) noexcept = default;
-
   /// Insert or overwrite. Returns true when `key` was new.
-  bool put(std::uint64_t key, std::span<const std::uint8_t> value);
   bool put_u64(std::uint64_t key, std::uint64_t value);
 
   /// Look up `key`; nullopt on miss. Non-const: a lookup advances the
   /// incremental migration like every other public operation.
-  [[nodiscard]] std::optional<std::span<const std::uint8_t>> get(
-      std::uint64_t key);
   [[nodiscard]] std::optional<std::uint64_t> get_u64(std::uint64_t key);
 
   /// Remove `key`; returns false when absent.
@@ -72,10 +60,10 @@ class HashStore {
   [[nodiscard]] bool migrating() const { return migrating_; }
   [[nodiscard]] const StoreStats& stats() const { return stats_; }
 
-  /// Heap allocations ever made (bucket arrays + value slabs). Tests pin
-  /// this constant across a warmed steady-state serving loop.
+  /// Tables ever allocated (one per growth step). Tests pin this constant
+  /// across a warmed steady-state serving loop.
   [[nodiscard]] std::uint64_t allocations() const {
-    return table_allocations_ + arena_.allocations();
+    return table_allocations_;
   }
 
  private:
@@ -83,7 +71,7 @@ class HashStore {
 
   struct Table {
     std::vector<std::uint64_t> keys;
-    std::vector<ValueRef> refs;
+    std::vector<std::uint64_t> values;
     std::vector<std::uint32_t> hops;  // neighborhood bitmap, bit i = home+i
     std::vector<std::uint8_t> used;
     std::size_t mask = 0;
@@ -126,10 +114,7 @@ class HashStore {
   /// Stop-the-world fallback when incremental migration cannot place a
   /// bucket (pathological clustering): rehash everything into 2x capacity.
   void rehash_all(std::size_t new_buckets);
-  void set_value(std::size_t idx, Table& t,
-                 std::span<const std::uint8_t> value);
 
-  ValueArena arena_;
   Table live_;
   Table old_;  // non-empty while migrating_
   std::size_t old_live_ = 0;  // entries still waiting in old_

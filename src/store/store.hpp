@@ -1,6 +1,5 @@
-// store.hpp — umbrella header for the storage layer (src/store/):
-// ValueArena pooled slab values + the hopscotch HashStore on top.
+// store.hpp — umbrella header for the storage layer (src/store/): the
+// hopscotch HashStore, a u64 -> u64 table with incremental resize.
 #pragma once
 
-#include "store/hash_store.hpp"   // IWYU pragma: export
-#include "store/value_arena.hpp"  // IWYU pragma: export
+#include "store/hash_store.hpp"  // IWYU pragma: export

@@ -29,9 +29,9 @@ namespace geochoice::testing {
   return static_cast<std::uint32_t>(it - sorted_ids.begin());
 }
 
-/// The routing tables ChordRing::build_fingers() produces, in its layout:
-/// fingers row-major (node, k); hop rows of hop_stride entries by
-/// descending progress, padded with progress 2.0 and node 0.
+/// The finger table, row-major (node, k), and the hop rows built from it
+/// in ChordRing's layout: hop_stride entries by descending progress,
+/// padded with progress 2.0 and node 0. ChordRing keeps only the hop rows.
 struct ChordTables {
   int fingers_per_node = 0;
   std::vector<std::uint32_t> fingers;

@@ -139,19 +139,6 @@ TEST(ChordRouting, NextHopIterationMatchesLookup) {
   }
 }
 
-TEST(ChordRouting, FingerAccessorMatchesConstruction) {
-  gr::DefaultEngine gen(12);
-  auto ring = gd::ChordRing::random(64, gen);
-  ring.build_fingers();
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    for (int k = 0; k < ring.fingers_per_node(); ++k) {
-      const double target = ring.node_id(i) + std::ldexp(1.0, -(k + 1));
-      EXPECT_EQ(ring.finger(i, k),
-                ring.successor(target >= 1.0 ? target - 1.0 : target));
-    }
-  }
-}
-
 // ------------------------------------------------------------ transport
 
 TEST(SimTransport, FirstHopIsLocalAndFree) {

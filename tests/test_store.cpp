@@ -1,22 +1,18 @@
 // test_store.cpp — HashStore vs a std::unordered_map oracle, plus the
-// allocation and handle-safety pins the store's design promises.
+// allocation pin the store's design promises.
 //
 // The differential suite drives randomized put/get/erase schedules
-// through both containers and demands byte-identical answers at every
-// step — across incremental resizes (the store starts at the minimum
-// capacity, so growth is constantly in flight) and across erase-heavy
-// phases that recycle arena slots. The steady-state pin asserts the
-// design's headline: once warmed, a serving loop of overwrites, hits,
-// misses, and erase/reinsert cycles performs zero heap allocations
-// (ASan in CI turns any violation into a hard failure).
+// through both containers and demands identical answers at every step —
+// across incremental resizes (the store starts at the minimum capacity,
+// so growth is constantly in flight) and across erase-heavy phases that
+// recycle buckets. The steady-state pin asserts the design's headline:
+// once warmed, a serving loop of overwrites, hits, misses, and
+// erase/reinsert cycles allocates no table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <stdexcept>
 #include <unordered_map>
-#include <vector>
 
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
@@ -27,24 +23,6 @@ namespace {
 using namespace geochoice;
 namespace gr = geochoice::rng;
 namespace gst = geochoice::store;
-
-/// Deterministic value bytes for (key, version): length cycles through
-/// every arena size class, content is a mixed stream.
-std::vector<std::uint8_t> value_for(std::uint64_t key, std::uint64_t version) {
-  const std::uint64_t h = gr::mix64(key ^ (version << 32));
-  const std::size_t len = 1 + (h % gst::ValueArena::kMaxValueBytes);
-  std::vector<std::uint8_t> bytes(len);
-  std::uint64_t w = h;
-  for (std::size_t i = 0; i < len; ++i) {
-    w = gr::mix64(w);
-    bytes[i] = static_cast<std::uint8_t>(w);
-  }
-  return bytes;
-}
-
-std::vector<std::uint8_t> to_vec(std::span<const std::uint8_t> s) {
-  return {s.begin(), s.end()};
-}
 
 TEST(HashStore, PutGetEraseRoundtrip) {
   gst::HashStore store;
@@ -63,7 +41,7 @@ TEST(HashStore, DifferentialOracleUnderRandomizedSchedules) {
   for (std::uint64_t schedule = 0; schedule < 3; ++schedule) {
     // Minimum capacity: resizes stay in flight through the whole run.
     gst::HashStore store(gst::HashStore::kNeighborhood);
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> oracle;
+    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
     gr::DefaultEngine gen(0x5354524531ULL + schedule);
 
     constexpr std::uint64_t kKeyUniverse = 512;
@@ -72,28 +50,28 @@ TEST(HashStore, DifferentialOracleUnderRandomizedSchedules) {
       const std::uint64_t key = gr::uniform_below(gen, kKeyUniverse);
       const std::uint64_t roll = gr::uniform_below(gen, 10);
       if (roll < 5) {  // put
-        const auto bytes = value_for(key, ++version);
-        const bool was_new = store.put(key, bytes);
+        const std::uint64_t value = gr::mix64(key ^ (++version << 32));
+        const bool was_new = store.put_u64(key, value);
         EXPECT_EQ(was_new, !oracle.contains(key));
-        oracle[key] = bytes;
+        oracle[key] = value;
       } else if (roll < 8) {  // get
-        const auto got = store.get(key);
+        const auto got = store.get_u64(key);
         const auto it = oracle.find(key);
         ASSERT_EQ(got.has_value(), it != oracle.end());
-        if (got.has_value()) EXPECT_EQ(to_vec(*got), it->second);
+        if (got.has_value()) EXPECT_EQ(*got, it->second);
       } else {  // erase
         EXPECT_EQ(store.erase(key), oracle.erase(key) > 0);
       }
       ASSERT_EQ(store.size(), oracle.size());
     }
 
-    // Full sweep: every oracle key answers with the oracle's bytes, and
+    // Full sweep: every oracle key answers with the oracle's value, and
     // nothing else answers at all.
     for (std::uint64_t key = 0; key < kKeyUniverse; ++key) {
-      const auto got = store.get(key);
+      const auto got = store.get_u64(key);
       const auto it = oracle.find(key);
       ASSERT_EQ(got.has_value(), it != oracle.end()) << "key " << key;
-      if (got.has_value()) EXPECT_EQ(to_vec(*got), it->second);
+      if (got.has_value()) EXPECT_EQ(*got, it->second);
     }
     EXPECT_GE(store.stats().resizes, 1u);  // growth genuinely happened
   }
@@ -142,7 +120,7 @@ TEST(HashStore, SteadyStateServingLoopAllocatesNothing) {
         (void)store.get_u64(key + kKeys);  // miss
         break;
       default:
-        // Erase/reinsert recycles the arena slot and the bucket.
+        // Erase/reinsert recycles the bucket.
         store.erase(key);
         store.put_u64(key, op);
         break;
@@ -150,15 +128,6 @@ TEST(HashStore, SteadyStateServingLoopAllocatesNothing) {
   }
   EXPECT_EQ(store.allocations(), warmed);
   EXPECT_EQ(store.size(), kKeys);
-}
-
-TEST(HashStore, OversizeValueIsRejected) {
-  gst::HashStore store;
-  const std::vector<std::uint8_t> big(gst::ValueArena::kMaxValueBytes + 1, 1);
-  EXPECT_THROW((void)store.put(1, big), std::invalid_argument);
-  // The rejected put left no trace.
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.get(1).has_value());
 }
 
 TEST(HashStore, StatsAccountForEveryOperation) {
@@ -176,25 +145,6 @@ TEST(HashStore, StatsAccountForEveryOperation) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.erases, 1u);
-}
-
-TEST(ValueArena, StaleHandleThrows) {
-  gst::ValueArena arena;
-  const auto ref = arena.store_u64(0xfeedULL);
-  EXPECT_EQ(arena.load_u64(ref), 0xfeedULL);
-  arena.release(ref);
-  EXPECT_THROW((void)arena.load_u64(ref), std::logic_error);   // stale
-  EXPECT_THROW(arena.release(ref), std::logic_error);          // double free
-  // The slot was recycled under a new generation; the old handle still
-  // cannot see the new value.
-  const auto fresh = arena.store_u64(0xbeefULL);
-  EXPECT_EQ(arena.load_u64(fresh), 0xbeefULL);
-  EXPECT_THROW((void)arena.load_u64(ref), std::logic_error);
-}
-
-TEST(ValueArena, NullHandleThrows) {
-  gst::ValueArena arena;
-  EXPECT_THROW((void)arena.load(gst::ValueRef{}), std::logic_error);
 }
 
 }  // namespace
